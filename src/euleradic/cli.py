@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
-from .errors import EulerAdicError
+from .errors import EulerAdicError, InvalidArgument
 from .graph import Vertex, eulerian, eulerian_row
 from .measure import (
     check_invariance_conditions,
@@ -33,10 +34,10 @@ from .montecarlo import (
     sample_experiment,
     variance_experiment,
 )
-from .paths import FinitePath, min_path_to, is_maximal
+from .paths import FinitePath, code_is_maximal, code_text, min_path_to
 from .rationals import fraction_to_text, float_text, jsonable, stable_json
-from .stacking import build_stage
-from .transform import orbit_rank, successor
+from .stacking import build_stage, stage_codes
+from .transform import rank_code, successor
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -188,13 +189,15 @@ def _cmd_birkhoff(args) -> int:
 
 
 def _cmd_stack(args) -> int:
-    layout = build_stage(args.stage, cap=args.cap)
+    n = build_stage(args.stage, cap=args.cap).stage
+    den = factorial(n + 1)
     rows = ["path,level,column,lo,hi,rank,maximal"]
-    for p, lo, hi in layout.iter_intervals():
-        v = p.terminal
+    hi = fraction_to_text(Fraction(0))
+    for index, code in enumerate(stage_codes(n), 1):
+        lo, hi = hi, fraction_to_text(Fraction(index, den))
         rows.append(
-            f"{p.to_text()},{v.level},{v.column},{fraction_to_text(lo)},"
-            f"{fraction_to_text(hi)},{orbit_rank(p)},{int(is_maximal(p))}"
+            f"{code_text(*code)},{n},{code[1][-1]},{lo},{hi},"
+            f"{rank_code(*code)},{int(code_is_maximal(*code))}"
         )
     _emit("\n".join(rows) + "\n", args.out)
     return 0
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except EulerAdicError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidArgument) else 1
 
 
 if __name__ == "__main__":

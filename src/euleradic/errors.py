@@ -9,6 +9,11 @@ class EulerAdicError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(EulerAdicError, ValueError):
+    """An argument lies outside the domain of the call, such as a negative
+    stage; the command line reports it as a usage error."""
+
+
 class RootHasNoInEdges(EulerAdicError):
     """Incoming edges were requested for the root vertex (0,0)."""
 

@@ -25,13 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import TooLarge
 from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_row, out_edges
-from .paths import FinitePath, enumerate_paths_to, is_maximal, is_minimal
-from .transform import predecessor
+from .paths import (
+    DEFAULT_ENUMERATION_CAP,
+    FinitePath,
+    code_is_maximal,
+    code_is_minimal,
+    code_text,
+    min_code,
+    step_for_out_index,
+)
+from .transform import predecessor_code, successor_code
 
 EXACT_TAIL_BUDGET = 600  # largest level for the all-rational tail DP
 ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the bounds DP
@@ -52,20 +61,6 @@ class WeightSystem:
     def symmetric(cls) -> "WeightSystem":
         """The system with weight 1/(n+2) on every edge out of level n."""
         return cls("symmetric", lambda e: Fraction(1, e.source.level + 2))
-
-    @classmethod
-    def from_bundle_table(
-        cls,
-        table: Mapping[tuple[int, int, Turn], Fraction],
-        label: str = "table",
-    ) -> "WeightSystem":
-        """Per-bundle weights keyed by (level, column, turn); parallel edges
-        within a bundle are equal by construction."""
-
-        def fn(e: EdgeRef) -> Fraction:
-            return Fraction(table[(e.source.level, e.source.column, e.turn)])
-
-        return cls(label, fn)
 
     @classmethod
     def from_function(
@@ -170,28 +165,54 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     Every non-minimal cylinder C has T^{-1}C equal to the predecessor
     cylinder up to the extremal boundary, so its measure must match the
     predecessor's exactly.  The n+1 minimal and n+1 maximal cylinders are
-    the boundary; their counts are reported rather than matched.
+    the boundary; their counts are reported rather than matched.  Each
+    fiber is walked in Vershik order on digit codes, and each distinct
+    edge is weighed once per call, as an integer numerator and denominator.
     """
     if ws is None:
         ws = WeightSystem.symmetric()
+    weights: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def measure(digits, cols) -> tuple[int, int]:
+        num = den = 1
+        for m, j in enumerate(digits):
+            k = cols[m]
+            w = weights.get((m, k, j))
+            if w is None:
+                f = ws.weight(EdgeRef(Vertex(m, k), *step_for_out_index(k, j)))
+                w = weights[m, k, j] = (f.numerator, f.denominator)
+            num *= w[0]
+            den *= w[1]
+        return num, den
+
     cylinders = 0
     boundary_min = 0
     boundary_max = 0
     mismatches = 0
     first: Optional[str] = None
     for k in range(n + 1):
-        for p in enumerate_paths_to(Vertex(n, k)):
+        total = eulerian(n, k)
+        if total > DEFAULT_ENUMERATION_CAP:
+            raise TooLarge(
+                f"fiber of {Vertex(n, k)} has {total} paths, cap is {DEFAULT_ENUMERATION_CAP}"
+            )
+        code = min_code(n, k)
+        while code is not None:
             cylinders += 1
-            if is_maximal(p):
+            if code_is_maximal(*code):
                 boundary_max += 1
-            if is_minimal(p):
+            if code_is_minimal(*code):
                 boundary_min += 1
-                continue
-            q = predecessor(p)
-            if cylinder_measure(ws, q) != cylinder_measure(ws, p):
-                mismatches += 1
-                if first is None:
-                    first = f"measure of {p.to_text()} != predecessor {q.to_text()}"
+            else:
+                prev = predecessor_code(*code)
+                p_num, p_den = measure(*code)
+                q_num, q_den = measure(*prev)
+                if p_num * q_den != q_num * p_den:
+                    mismatches += 1
+                    if first is None:
+                        first = (f"measure of {code_text(*code)} != predecessor "
+                                 f"{code_text(*prev)}")
+            code = successor_code(*code)
     return PushforwardReport(n, cylinders, boundary_min, boundary_max, mismatches, first)
 
 
@@ -342,9 +363,9 @@ def column_tail_bounds(
 ) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo <= P(|2 k_n - n| >= epsilon n) <= hi.
 
-    Runs the column-chain recursion twice on integer numerators over the
-    fixed denominator 2**denom_bits, rounding down for the lower bound and
-    up for the upper.  Rounding never cancels, so the two runs bracket the
+    Runs the column-chain recursion on integer numerators over the fixed
+    denominator 2**denom_bits, rounding down for the lower bound and up for
+    the upper, both in one pass.  Rounding never cancels, so the two bracket the
     exact law pointwise; the bracket width stays below (n+1)^2 / 2**denom_bits
     because each level adds at most one unit of numerator per entry.
     """
@@ -354,25 +375,24 @@ def column_tail_bounds(
     # int64 safety: entries stay near denom, coefficients below n+2
     if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:
         raise ValueError("denominator too large for int64 products at this level")
-    def advance(cur: np.ndarray, m: int, round_up: bool) -> np.ndarray:
-        ks = np.arange(m + 2, dtype=np.int64)
-        stay = np.zeros(m + 2, dtype=np.int64)
-        stay[: m + 1] = cur
-        step = np.zeros(m + 2, dtype=np.int64)
-        step[1:] = cur
-        numer = stay * (ks + 1) + step * (m - ks + 2)
-        if round_up:
-            numer += m + 1
-        return numer // (m + 2)
-
-    lo_num = np.array([denom], dtype=np.int64)
-    hi_num = np.array([denom], dtype=np.int64)
+    # one pass: row 0 rounds down (lower bound), row 1 rounds up; level m
+    # maps entries 0..m to 0..m+1 in place through the scratch rows
+    num = np.zeros((2, n + 1), dtype=np.int64)
+    num[:, 0] = denom
+    scratch = np.empty_like(num)
+    moved = np.empty_like(num)
+    stay_weight = np.arange(1, n + 2, dtype=np.int64)  # k+1 at column k
+    step_weight = np.arange(n + 1, 0, -1, dtype=np.int64)  # m+2-k at level m
     for m in range(n):
-        lo_num = advance(lo_num, m, round_up=False)
-        hi_num = advance(hi_num, m, round_up=True)
+        w = m + 2
+        np.multiply(num[:, :w], stay_weight[:w], out=scratch[:, :w])
+        np.multiply(num[:, : w - 1], step_weight[n - m :], out=moved[:, : w - 1])
+        scratch[:, 1:w] += moved[:, : w - 1]
+        scratch[1, :w] += m + 1
+        np.floor_divide(scratch[:, :w], w, out=num[:, :w])
     eps = Fraction(epsilon)
     ks = np.arange(n + 1)
     mask = np.abs(2 * ks - n) * eps.denominator >= eps.numerator * n
-    lo = Fraction(int(lo_num[mask].sum()), denom)
-    hi = Fraction(int(hi_num[mask].sum()), denom)
+    lo = Fraction(int(num[0, mask].sum()), denom)
+    hi = Fraction(int(num[1, mask].sum()), denom)
     return lo, min(hi, Fraction(1))

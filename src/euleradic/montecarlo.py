@@ -526,8 +526,8 @@ def birkhoff_experiment(
     tol = 0.1 if tolerance is None else tolerance
     rng = cfg.generator(0)
     cur = sample_path(big_level, rng)
-    want = cylinder.steps
-    visits = int(cur.steps[: len(want)] == want)
+    want = cylinder.digits
+    visits = int(cur.digits[: len(want)] == want)
     taken = 0
     notes = []
     for _ in range(budget):
@@ -537,7 +537,7 @@ def birkhoff_experiment(
             notes.append(f"orbit exhausted after {taken} steps")
             break
         taken += 1
-        visits += cur.steps[: len(want)] == want
+        visits += cur.digits[: len(want)] == want
     freq = visits / (taken + 1)
     ok = abs(freq - float(ref)) <= tol
     return StatReport(

@@ -1,8 +1,11 @@
 """Finite root-anchored paths and the Vershik order on them.
 
 A path of length n starts at the root (0,0) and takes one edge per level.
-It is stored as a tuple of (turn, copy) steps; the column sequence k_0..k_n
-is derived: a left turn keeps the column, a right turn increments it.
+Inside the package it is its digit code: the out-edge index j_m in [0, m+2)
+taken at each level m, whose mixed-radix value is the path's interval index
+in the stacking layout.  The column sequence k_0..k_n follows from the
+digits, and the (turn, copy) steps from both: a left turn keeps the column,
+a right turn increments it.  FinitePath wraps the code at the public API.
 
 Two same-length paths are compared at their largest index of disagreement.
 If the edges there enter the same vertex, the in-rank order decides;
@@ -15,7 +18,6 @@ minimal: their vertices have a single incoming edge.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IndexBeyondPath, LengthMismatch, TooLarge
@@ -33,16 +35,26 @@ class Order(Enum):
     INCOMPARABLE = 2
 
 
-@dataclass(frozen=True)
 class FinitePath:
-    """An edge path from the root, as a tuple of (turn, copy) steps."""
+    """An edge path from the root, stored as its digit code.
 
-    steps: tuple[tuple[Turn, int], ...] = ()
+    Digit j_m in [0, m+2) is the index of the edge taken out of level m in
+    the canonical out-edge order (left copies 0..k first, then right
+    copies); read as a mixed-radix number, the digits are the path's
+    left-to-right interval index in the stacking layout.  The column
+    sequence k_0..k_n is kept beside the digits, and the (turn, copy)
+    steps are derived from both.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_digits", "_cols")
+
+    def __init__(self, steps=()):
+        digits = []
         cols = [0]
         k = 0
-        for i, (turn, copy) in enumerate(self.steps):
+        for i, (turn, copy) in enumerate(steps):
+            if not isinstance(turn, Turn):
+                raise ValueError(f"step {i}: {turn!r} is not a Turn")
             size = k + 1 if turn is Turn.LEFT else i - k + 1
             if not 0 <= copy < size:
                 raise ValueError(
@@ -50,44 +62,70 @@ class FinitePath:
                     f"of size {size} at ({i},{k})"
                 )
             if turn is Turn.RIGHT:
+                digits.append(k + 1 + copy)
                 k += 1
+            else:
+                digits.append(copy)
             cols.append(k)
-        object.__setattr__(self, "_columns", tuple(cols))
+        self._digits = tuple(digits)
+        self._cols = tuple(cols)
+
+    @classmethod
+    def _trusted(cls, digits: tuple, cols: tuple) -> "FinitePath":
+        """Wrap a digit code and its columns that are already known valid."""
+        p = cls.__new__(cls)
+        p._digits = digits
+        p._cols = cols
+        return p
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The per-level out-edge indices j_m in [0, m+2)."""
+        return self._digits
+
+    @property
+    def steps(self) -> tuple[tuple[Turn, int], ...]:
+        return tuple(map(step_for_out_index, self._cols, self._digits))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._digits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._digits == other._digits
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._digits)
 
     def column_at(self, m: int) -> int:
         """Column of the vertex this path passes through at level m."""
-        if not 0 <= m <= len(self.steps):
+        if not 0 <= m <= len(self._digits):
             raise IndexBeyondPath(f"level {m} outside path of length {len(self)}")
-        return self._columns[m]
-
-    def vertex_at(self, m: int) -> Vertex:
-        return Vertex(m, self.column_at(m))
+        return self._cols[m]
 
     @property
     def terminal(self) -> Vertex:
-        return Vertex(len(self.steps), self._columns[-1])
+        return Vertex(len(self._digits), self._cols[-1])
 
     def edge_at(self, i: int) -> EdgeRef:
-        turn, copy = self.steps[i]
-        return EdgeRef(Vertex(i, self._columns[i]), turn, copy)
+        k = self._cols[i]
+        return EdgeRef(Vertex(i, k), *step_for_out_index(k, self._digits[i]))
 
     def edges(self) -> list[EdgeRef]:
-        return [self.edge_at(i) for i in range(len(self.steps))]
+        return [self.edge_at(i) for i in range(len(self._digits))]
 
     def prefix(self, m: int) -> "FinitePath":
-        if not 0 <= m <= len(self.steps):
+        if not 0 <= m <= len(self._digits):
             raise IndexBeyondPath(f"level {m} outside path of length {len(self)}")
-        return FinitePath(self.steps[:m])
+        return FinitePath._trusted(self._digits[:m], self._cols[: m + 1])
 
     def extended(self, turn: Turn, copy: int) -> "FinitePath":
         return FinitePath(self.steps + ((turn, copy),))
 
     def to_text(self) -> str:
         """Canonical encoding: "R0.L1.R1"; the empty path encodes as ""."""
-        return ".".join(f"{t.value}{c}" for t, c in self.steps)
+        return code_text(self._digits, self._cols)
 
     @classmethod
     def from_text(cls, text: str) -> "FinitePath":
@@ -104,6 +142,9 @@ class FinitePath:
         return f"FinitePath({self.to_text()!r})"
 
 
+# --- the digit code ---------------------------------------------------------
+
+
 def step_for_out_index(k: int, j: int) -> tuple[Turn, int]:
     """The (turn, copy) step with out-edge index j at a column-k vertex.
 
@@ -116,66 +157,84 @@ def step_for_out_index(k: int, j: int) -> tuple[Turn, int]:
 
 def path_from_out_indices(indices) -> FinitePath:
     """Build a path from its per-level out-edge indices j_m in [0, m+2)."""
-    steps = []
+    digits = tuple(indices)
+    for m, j in enumerate(digits):
+        if not 0 <= j < m + 2:
+            raise ValueError(f"level {m}: out-edge index {j} outside [0, {m + 2})")
+    return FinitePath._trusted(digits, code_columns(digits))
+
+
+def code_columns(digits) -> tuple[int, ...]:
+    """The column sequence k_0..k_n of valid digits: a digit above the
+    current column is a right turn."""
+    cols = [0]
     k = 0
-    for j in indices:
-        turn, copy = step_for_out_index(k, j)
-        steps.append((turn, copy))
-        if turn is Turn.RIGHT:
+    for j in digits:
+        if j > k:
             k += 1
-    return FinitePath(tuple(steps))
+        cols.append(k)
+    return tuple(cols)
+
+
+def code_text(digits, cols) -> str:
+    return ".".join(
+        f"L{j}" if j <= k else f"R{j - k - 1}" for j, k in zip(digits, cols)
+    )
+
+
+def code_is_maximal(digits, cols) -> bool:
+    """Every edge is the greatest into its target: the top left copy k, or
+    the single right edge onto the diagonal."""
+    for m, j in enumerate(digits):
+        k = cols[m]
+        if j != k and not (k == m and j == m + 1):
+            return False
+    return True
+
+
+def code_is_minimal(digits, cols) -> bool:
+    """Every edge is the least into its target: right copy 0, or the single
+    left edge into column 0."""
+    for j, k in zip(digits, cols):
+        if j != k + 1 and j + k != 0:
+            return False
+    return True
+
+
+def min_code(n: int, k: int) -> tuple[tuple, tuple]:
+    """(digits, columns) of the minimal path into (n, k): left copy 0 down
+    to (n-k, 0), then right copy 0 along the diagonal climb."""
+    climb = tuple(range(1, k + 1))
+    return (0,) * (n - k) + climb, (0,) * (n - k + 1) + climb
+
+
+def max_code(n: int, k: int) -> tuple[tuple, tuple]:
+    """(digits, columns) of the maximal path into (n, k): right copy 0 up
+    to (k, k), then left turns taking the top copy k at every level."""
+    return tuple(range(1, k + 1)) + (k,) * (n - k), tuple(range(k + 1)) + (k,) * (n - k)
 
 
 # --- extremal paths ---------------------------------------------------------
 
 
-def _edge_is_maximal(level_to: int, col_to: int, turn: Turn, copy: int) -> bool:
-    # into (m, c): the greatest in-edge is the left copy c when the left
-    # bundle exists (c <= m-1); on the diagonal c == m the single right
-    # edge is greatest by default.
-    if col_to == level_to:
-        return True
-    return turn is Turn.LEFT and copy == col_to
-
-
-def _edge_is_minimal(level_to: int, col_to: int, turn: Turn, copy: int) -> bool:
-    # into (m, c): the least in-edge is the right copy 0 when c >= 1,
-    # else the single left edge into (m, 0).
-    if col_to == 0:
-        return True
-    return turn is Turn.RIGHT and copy == 0
-
-
 def is_maximal(p: FinitePath) -> bool:
     """True iff every edge has the greatest in-rank into its target."""
-    return all(
-        _edge_is_maximal(i + 1, p.column_at(i + 1), turn, copy)
-        for i, (turn, copy) in enumerate(p.steps)
-    )
+    return code_is_maximal(p._digits, p._cols)
 
 
 def is_minimal(p: FinitePath) -> bool:
     """True iff every edge has the least in-rank into its target."""
-    return all(
-        _edge_is_minimal(i + 1, p.column_at(i + 1), turn, copy)
-        for i, (turn, copy) in enumerate(p.steps)
-    )
+    return code_is_minimal(p._digits, p._cols)
 
 
 def min_path_to(v: Vertex) -> FinitePath:
-    """The unique minimal path into v: left copy 0 down to (n-k, 0), then
-    right copy 0 along the diagonal climb."""
-    n, k = v.level, v.column
-    steps = ((Turn.LEFT, 0),) * (n - k) + ((Turn.RIGHT, 0),) * k
-    return FinitePath(steps)
+    """The unique minimal path into v (see min_code)."""
+    return FinitePath._trusted(*min_code(v.level, v.column))
 
 
 def max_path_to(v: Vertex) -> FinitePath:
-    """The unique maximal path into v: right copy 0 up to (k, k), then left
-    turns taking the top copy k at every level."""
-    n, k = v.level, v.column
-    steps = ((Turn.RIGHT, 0),) * k + ((Turn.LEFT, k),) * (n - k)
-    return FinitePath(steps)
+    """The unique maximal path into v (see max_code)."""
+    return FinitePath._trusted(*max_code(v.level, v.column))
 
 
 # --- order ------------------------------------------------------------------
@@ -185,10 +244,14 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
     """Order of two same-length paths at the largest disagreement index."""
     if len(p) != len(q):
         raise LengthMismatch(f"lengths {len(p)} and {len(q)} differ")
-    if p.steps == q.steps:
+    if p._digits == q._digits:
         return Order.EQUAL
-    n = max(i for i in range(len(p)) if p.steps[i] != q.steps[i])
-    if p.column_at(n + 1) != q.column_at(n + 1):
+    n = len(p) - 1
+    while step_for_out_index(p._cols[n], p._digits[n]) == step_for_out_index(
+        q._cols[n], q._digits[n]
+    ):
+        n -= 1
+    if p._cols[n + 1] != q._cols[n + 1]:
         return Order.INCOMPARABLE
     rp = p.edge_at(n).in_rank
     rq = q.edge_at(n).in_rank

@@ -11,70 +11,81 @@ fixed choice gives an isomorphic system.
 The stage-n interval map translates each interval onto the interval of the
 successor path, and is undefined on the n+1 intervals of maximal paths (the
 stack tops).  Endpoints are exact rationals; internally the descent runs on
-integer numerators over (n+1)!.
+integer numerators over (n+1)!: a path's digit code (see the paths
+module) read in mixed radix is the index of its interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import TooLarge
-from .graph import Turn, eulerian
-from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, is_maximal, step_for_out_index
-from .transform import successor
+from .errors import InvalidArgument, TooLarge
+from .graph import eulerian
+from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, code_columns
+from .transform import successor_code
 
 
-def _out_index(k: int, turn: Turn, copy: int) -> int:
-    return copy if turn is Turn.LEFT else k + 1 + copy
+def _check_stage(n: int) -> None:
+    if n < 0:
+        raise InvalidArgument(f"stage {n} is negative")
 
 
-def _lo_numerator(p: FinitePath) -> int:
-    """Left endpoint of p's interval, as a numerator over (len(p)+1)!."""
-    n = len(p)
-    width = factorial(n + 1)
-    lo = 0
-    k = 0
-    for m, (turn, copy) in enumerate(p.steps):
-        width //= m + 2
-        lo += _out_index(k, turn, copy) * width
-        if turn is Turn.RIGHT:
-            k += 1
-    return lo
+def code_index(digits) -> int:
+    """The mixed-radix value of a digit code: its left-to-right interval
+    index, most significant digit first."""
+    index = 0
+    for m, j in enumerate(digits):
+        index = index * (m + 2) + j
+    return index
+
+
+def _fraction(u) -> Fraction:
+    return u if type(u) is Fraction else Fraction(u)
+
+
+def code_at(u: Fraction, n: int) -> tuple[int, tuple, tuple]:
+    """(interval index, digits, columns) of the stage-n interval holding u."""
+    _check_stage(n)
+    num, den = u.numerator, u.denominator
+    if not 0 <= num < den:
+        raise ValueError(f"point {u} outside [0,1)")
+    index = num * factorial(n + 1) // den
+    digits = [0] * n
+    rest = index
+    for m in range(n - 1, -1, -1):
+        rest, digits[m] = divmod(rest, m + 2)
+    digits = tuple(digits)
+    return index, digits, code_columns(digits)
+
+
+def stage_codes(n: int) -> Iterator[tuple[tuple, tuple]]:
+    """(digits, columns) of every length-n path, in interval order."""
+    if n == 0:
+        yield (), (0,)
+        return
+    # the columns of each prefix are found once for all n+1 last digits
+    for head in product(*(range(m + 2) for m in range(n - 1))):
+        head_cols = code_columns(head)
+        k = head_cols[-1]
+        for j in range(n + 1):
+            yield head + (j,), head_cols + (k + (j > k),)
 
 
 def decode_path(p: FinitePath) -> tuple[Fraction, Fraction]:
     """The half-open interval [lo, hi) assigned to p at stage len(p)."""
     den = factorial(len(p) + 1)
-    lo = _lo_numerator(p)
+    lo = code_index(p.digits)
     return Fraction(lo, den), Fraction(lo + 1, den)
 
 
 def encode_point(u, n: int) -> FinitePath:
     """The unique length-n path whose stage-n interval contains u."""
-    u = Fraction(u)
-    if not 0 <= u < 1:
-        raise ValueError(f"point {u} outside [0,1)")
-    den = factorial(n + 1)
-    # descend on integers: with u*den = p/q, the slice index at each level
-    # is floor((p/q - lo)/width) = (p - lo*q) // (q*width)
-    t = u * den
-    p, q = t.numerator, t.denominator
-    lo = 0
-    width = den
-    k = 0
-    steps = []
-    for m in range(n):
-        width //= m + 2
-        j = min((p - lo * q) // (q * width), m + 1)
-        lo += j * width
-        turn, copy = step_for_out_index(k, j)
-        steps.append((turn, copy))
-        if turn is Turn.RIGHT:
-            k += 1
-    return FinitePath(tuple(steps))
+    _, digits, cols = code_at(_fraction(u), n)
+    return FinitePath._trusted(digits, cols)
 
 
 @dataclass(frozen=True)
@@ -102,21 +113,11 @@ class StackLayout:
 
     def iter_intervals(self) -> Iterator[tuple[FinitePath, Fraction, Fraction]]:
         """All (path, lo, hi) triples in left-to-right interval order."""
-        n = self.stage
-        den = factorial(n + 1)
-
-        def walk(steps: list, k: int, m: int, lo: int, width: int):
-            if m == n:
-                yield FinitePath(tuple(steps)), Fraction(lo, den), Fraction(lo + 1, den)
-                return
-            sub = width // (m + 2)
-            for j in range(m + 2):
-                turn, copy = step_for_out_index(k, j)
-                steps.append((turn, copy))
-                yield from walk(steps, k + (turn is Turn.RIGHT), m + 1, lo + j * sub, sub)
-                steps.pop()
-
-        yield from walk([], 0, 0, 0, den)
+        den = factorial(self.stage + 1)
+        hi = Fraction(0)
+        for index, code in enumerate(stage_codes(self.stage), 1):
+            lo, hi = hi, Fraction(index, den)
+            yield FinitePath._trusted(*code), lo, hi
 
     def stack_heights(self) -> dict[int, int]:
         """Number of intervals per terminal column: A(stage, k)."""
@@ -124,7 +125,9 @@ class StackLayout:
 
 
 def build_stage(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StackLayout:
-    """The stage-n layout; refuses stages with more than cap intervals."""
+    """The stage-n layout; refuses negative stages and stages with more than
+    cap intervals."""
+    _check_stage(n)
     if factorial(n + 1) > cap:
         raise TooLarge(f"stage {n} has {factorial(n + 1)} intervals, cap is {cap}")
     return StackLayout(n)
@@ -137,10 +140,12 @@ def stage_map(layout: StackLayout, u) -> Optional[Fraction]:
     the same relative offset; None (undefined) on the top of each stack,
     that is when u lies in a maximal path's interval.
     """
-    u = Fraction(u)
-    p = layout.path_at(u)
-    if is_maximal(p):
+    u = _fraction(u)
+    n = layout.stage
+    index, digits, cols = code_at(u, n)
+    nxt = successor_code(digits, cols)
+    if nxt is None:
         return None
-    den = factorial(layout.stage + 1)
-    shift = _lo_numerator(successor(p)) - _lo_numerator(p)
-    return u + Fraction(shift, den)
+    # u + shift/(n+1)!, over the common denominator
+    shift, scale = code_index(nxt[0]) - index, factorial(n + 1)
+    return Fraction(u.numerator * scale + shift * u.denominator, u.denominator * scale)

@@ -13,45 +13,82 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MaximalPath, MinimalPath, OrbitOverflow
-from .graph import Turn, Vertex, eulerian, in_edge_with_rank
-from .paths import (
-    FinitePath,
-    _edge_is_maximal,
-    _edge_is_minimal,
-    max_path_to,
-    min_path_to,
-)
+from .graph import Vertex, eulerian
+from .paths import FinitePath, max_code, min_code
+
+
+def successor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
+    """(digits, columns) of the successor, or None on a maximal path.
+
+    The first edge that is not the greatest into its target (the top left
+    copy k, or the single right edge onto the diagonal) moves to the next
+    in-rank: the next copy of its bundle, or from the last right copy to
+    left copy 0 out of the column to the right.  Below it the path
+    restarts minimal into the new source.
+    """
+    for m, j in enumerate(digits):
+        k = cols[m]
+        if j < k or k < j <= m:
+            head, head_cols = min_code(m, k)
+            j += 1
+        elif j == m + 1 and k < m:
+            head, head_cols = min_code(m, k + 1)
+            j = 0
+        else:
+            continue
+        return head + (j,) + digits[m + 1 :], head_cols + cols[m + 1 :]
+    return None
+
+
+def predecessor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
+    """(digits, columns) of the predecessor, or None on a minimal path: the
+    first edge that is not the least into its target moves to the previous
+    in-rank, and the path below it restarts maximal into the new source."""
+    for m, j in enumerate(digits):
+        k = cols[m]
+        if 0 < j <= k or j > k + 1:
+            head, head_cols = max_code(m, k)
+            j -= 1
+        elif j == 0 and k > 0:
+            head, head_cols = max_code(m, k - 1)
+            j = m + 1
+        else:
+            continue
+        return head + (j,) + digits[m + 1 :], head_cols + cols[m + 1 :]
+    return None
+
+
+def rank_code(digits: tuple, cols: tuple) -> int:
+    """Orbit rank of a digit code (see orbit_rank)."""
+    rank = 0
+    for m, j in enumerate(digits):
+        k = cols[m]
+        # into (m+1, c): right copies from (m, c-1) rank first, then left
+        # copies from (m, c)
+        if j > k:
+            rank += (j - k - 1) * eulerian(m, k)
+        else:
+            if k >= 1:
+                rank += (m - k + 2) * eulerian(m, k - 1)
+            rank += j * eulerian(m, k)
+    return rank
 
 
 def successor(p: FinitePath) -> FinitePath:
     """The next path into the same terminal vertex in Vershik order."""
-    for j, (turn, copy) in enumerate(p.steps):
-        c = p.column_at(j + 1)
-        if _edge_is_maximal(j + 1, c, turn, copy):
-            continue
-        target = Vertex(j + 1, c)
-        old = p.edge_at(j)
-        bumped = in_edge_with_rank(target, old.in_rank + 1)
-        prefix = min_path_to(bumped.source)
-        steps = prefix.steps + ((bumped.turn, bumped.copy),) + p.steps[j + 1 :]
-        return FinitePath(steps)
-    raise MaximalPath(f"no successor: {p.to_text()!r} is maximal")
+    code = successor_code(p._digits, p._cols)
+    if code is None:
+        raise MaximalPath(f"no successor: {p.to_text()!r} is maximal")
+    return FinitePath._trusted(*code)
 
 
 def predecessor(p: FinitePath) -> FinitePath:
     """The inverse of successor: bump the first non-minimal edge down and
     put the maximal path below the new source."""
-    for j, (turn, copy) in enumerate(p.steps):
-        c = p.column_at(j + 1)
-        if _edge_is_minimal(j + 1, c, turn, copy):
-            continue
-        target = Vertex(j + 1, c)
-        old = p.edge_at(j)
-        dropped = in_edge_with_rank(target, old.in_rank - 1)
-        prefix = max_path_to(dropped.source)
-        steps = prefix.steps + ((dropped.turn, dropped.copy),) + p.steps[j + 1 :]
-        return FinitePath(steps)
-    raise MinimalPath(f"no predecessor: {p.to_text()!r} is minimal")
+    code = predecessor_code(p._digits, p._cols)
+    if code is None:
+        raise MinimalPath(f"no predecessor: {p.to_text()!r} is minimal")
+    return FinitePath._trusted(*code)
 
 
 def orbit_rank(p: FinitePath) -> int:
@@ -60,17 +97,7 @@ def orbit_rank(p: FinitePath) -> int:
     For each level, every in-edge of the target ranked below p's edge
     contributes the full count of paths into that edge's source.
     """
-    rank = 0
-    for j, (turn, copy) in enumerate(p.steps):
-        m, c = j + 1, p.column_at(j + 1)
-        # sources: right-turn copies come from (m-1, c-1), left from (m-1, c)
-        if turn is Turn.RIGHT:
-            rank += copy * eulerian(m - 1, c - 1)
-        else:
-            if c >= 1:
-                rank += (m - c + 1) * eulerian(m - 1, c - 1)
-            rank += copy * eulerian(m - 1, c)
-    return rank
+    return rank_code(p._digits, p._cols)
 
 
 def path_with_rank(v: Vertex, rank: int) -> FinitePath:
@@ -78,22 +105,23 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
     total = eulerian(v.level, v.column)
     if not 0 <= rank < total:
         raise OrbitOverflow(rank, total)
-    steps: list[tuple[Turn, int]] = []
+    digits: list[int] = []
+    cols = [v.column]
     m, c, t = v.level, v.column, rank
     while m > 0:
         right_block = eulerian(m - 1, c - 1) if c >= 1 else 0
         right_total = (m - c + 1) * right_block
         if c >= 1 and t < right_total:
             copy, t = divmod(t, right_block)
-            steps.append((Turn.RIGHT, copy))
-            m, c = m - 1, c - 1
+            digits.append(c + copy)  # right copy out of column c-1
+            c -= 1
         else:
             t -= right_total
-            left_block = eulerian(m - 1, c)
-            copy, t = divmod(t, left_block)
-            steps.append((Turn.LEFT, copy))
-            m = m - 1
-    return FinitePath(tuple(reversed(steps)))
+            copy, t = divmod(t, eulerian(m - 1, c))
+            digits.append(copy)
+        m -= 1
+        cols.append(c)
+    return FinitePath._trusted(tuple(reversed(digits)), tuple(reversed(cols)))
 
 
 def iterate(p: FinitePath, steps: int) -> FinitePath:

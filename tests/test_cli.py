@@ -177,3 +177,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_negative_stage_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, "stack", "--stage", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "negative" in err

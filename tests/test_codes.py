@@ -1,0 +1,148 @@
+"""Digit-code property checks.
+
+Core claims: a path's per-level out-edge digits j_m in [0, m+2) round-trip
+through FinitePath, its steps and its text; path_with_rank inverts
+orbit_rank; successor and predecessor are mutual inverses and move the
+orbit rank by exactly one; encode_point and
+decode_path invert each other; and at every interval of stages 1..6 the
+stage map carries the r-th path of each fiber onto the (r+1)-th, with the
+fiber order taken from the recursive in-edge enumeration.
+"""
+
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from euleradic import (
+    FinitePath,
+    InvalidArgument,
+    MaximalPath,
+    MinimalPath,
+    Turn,
+    Vertex,
+    build_stage,
+    decode_path,
+    encode_point,
+    enumerate_paths_to,
+    is_maximal,
+    is_minimal,
+    orbit_rank,
+    path_from_out_indices,
+    path_with_rank,
+    predecessor,
+    stage_map,
+    successor,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def digit_codes(draw, max_len=1000):
+    """Digits of a path of length <= max_len: uniform, or pushed toward the
+    extremal edges so that long maximal and minimal runs occur."""
+    n = draw(st.integers(0, max_len))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    bias = draw(st.sampled_from(["uniform", "maximal", "minimal"]))
+    digits, k = [], 0
+    for m in range(n):
+        j = rng.randrange(m + 2)
+        if bias != "uniform" and rng.random() < 0.9:
+            j = k if bias == "maximal" else (k + 1 if rng.random() < 0.5 else 0)
+        digits.append(j)
+        k += j > k
+    return digits
+
+
+@PROPERTY
+@given(digit_codes())
+def test_code_round_trips(digits):
+    p = path_from_out_indices(digits)
+    assert p.digits == tuple(digits)
+    assert len(p) == len(digits)
+    assert FinitePath(p.steps) == p
+    assert FinitePath.from_text(p.to_text()) == p
+    assert hash(FinitePath(p.steps)) == hash(p)
+    cols = [p.column_at(m) for m in range(len(p) + 1)]
+    assert cols[0] == 0 and all(b - a in (0, 1) for a, b in zip(cols, cols[1:]))
+
+
+@PROPERTY
+@given(digit_codes())
+def test_rank_unrank_and_successor_predecessor_inverses(digits):
+    p = path_from_out_indices(digits)
+    rank = orbit_rank(p)
+    assert path_with_rank(p.terminal, rank) == p
+    if is_maximal(p):
+        with pytest.raises(MaximalPath):
+            successor(p)
+    else:
+        s = successor(p)
+        assert s.terminal == p.terminal
+        assert predecessor(s) == p
+        assert orbit_rank(s) == rank + 1
+    if is_minimal(p):
+        with pytest.raises(MinimalPath):
+            predecessor(p)
+    else:
+        q = predecessor(p)
+        assert q.terminal == p.terminal
+        assert successor(q) == p
+        assert orbit_rank(q) == rank - 1
+
+
+@PROPERTY
+@given(digit_codes(), st.fractions(0, 1).filter(lambda x: x < 1))
+def test_encode_decode_round_trip(digits, offset):
+    p = path_from_out_indices(digits)
+    lo, hi = decode_path(p)
+    assert encode_point(lo, len(p)) == p
+    assert encode_point(lo + (hi - lo) * offset, len(p)) == p
+    index = 0
+    for m, j in enumerate(digits):
+        index = index * (m + 2) + j
+    assert (lo, hi) == (Fraction(index, factorial(len(p) + 1)),
+                        Fraction(index + 1, factorial(len(p) + 1)))
+
+
+def test_invalid_steps_rejected():
+    # a turn must be a Turn: a bare "L" is not silently read as a right turn
+    for steps in ((("L", 0),), ((Turn.LEFT, 0), ("R", 0))):
+        with pytest.raises(ValueError):
+            FinitePath(steps)
+
+
+def test_invalid_digits_rejected():
+    for digits in ([2], [0, 3], [-1], [1, 0, 4]):
+        with pytest.raises(ValueError):
+            path_from_out_indices(digits)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.fractions(0, 1).filter(lambda x: x < 1))
+def test_stage_map_follows_enumerated_fiber_order(offset):
+    for n in range(1, 7):
+        layout = build_stage(n)
+        for k in range(n + 1):
+            fiber = enumerate_paths_to(Vertex(n, k))
+            for r, p in enumerate(fiber):
+                lo, hi = decode_path(p)
+                u = lo + (hi - lo) * offset
+                v = stage_map(layout, u)
+                if r == len(fiber) - 1:
+                    assert v is None
+                    continue
+                nlo, _ = decode_path(fiber[r + 1])
+                assert v == nlo + (u - lo)
+
+
+def test_negative_stage_rejected():
+    for n in (-1, -2, -7):
+        with pytest.raises(InvalidArgument):
+            build_stage(n)
+        with pytest.raises(InvalidArgument):
+            encode_point(Fraction(1, 2), n)

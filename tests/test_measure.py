@@ -11,6 +11,7 @@ surplus 0, surplus variance (n+2)/3, squared increment 4 at level 1 and
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from euleradic import (
@@ -300,6 +301,36 @@ def test_tail_enclosure_brackets_exact():
             lo, hi = column_tail_bounds(n, eps)
             assert lo <= exact <= hi
             assert hi - lo <= Fraction((n + 1) ** 2, 2**44)
+
+
+def _two_pass_tail_bounds(n, eps, denom_bits=44):
+    # reference: separate floor and ceil passes, fresh arrays at every level
+    denom = 1 << denom_bits
+
+    def advance(cur, m, round_up):
+        ks = np.arange(m + 2, dtype=np.int64)
+        stay = np.zeros(m + 2, dtype=np.int64)
+        stay[: m + 1] = cur
+        step = np.zeros(m + 2, dtype=np.int64)
+        step[1:] = cur
+        numer = stay * (ks + 1) + step * (m - ks + 2)
+        if round_up:
+            numer += m + 1
+        return numer // (m + 2)
+
+    lo = hi = np.array([denom], dtype=np.int64)
+    for m in range(n):
+        lo = advance(lo, m, round_up=False)
+        hi = advance(hi, m, round_up=True)
+    mask = np.abs(2 * np.arange(n + 1) - n) * eps.denominator >= eps.numerator * n
+    return (Fraction(int(lo[mask].sum()), denom),
+            min(Fraction(int(hi[mask].sum()), denom), Fraction(1)))
+
+
+def test_tail_enclosure_matches_two_pass_reference():
+    for n in (1, 7, 600, 2500):
+        for eps in (Fraction(1, 10), Fraction(1, 3)):
+            assert column_tail_bounds(n, eps) == _two_pass_tail_bounds(n, eps)
 
 
 def test_tail_enclosure_large_level_sane():
