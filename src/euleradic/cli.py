@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Data goes to stdout (or to --out PATH), logs to stderr.  Rationals print
-as "p/q"; floats carry 12 significant digits.  Exit codes: 0 success or
-check passed, 1 check failure or operation error, 2 usage error.
+as "p/q"; CSV floats carry 12 significant digits, JSON floats are
+Python's shortest round-trip repr.  Exit codes: 0 success or check
+passed, 1 check failure or operation error, 2 usage error.
 
 Identical invocations produce byte-identical output; seeds fully
 determine every experiment (see the montecarlo module for the replica
@@ -61,6 +62,13 @@ def _vertex(text: str) -> Vertex:
         raise argparse.ArgumentTypeError(f"bad vertex {text!r}: {exc}")
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}")
+
+
 def _cylinder(text: str) -> FinitePath:
     try:
         return FinitePath.from_text(text)
@@ -72,6 +80,7 @@ def _cylinder(text: str) -> FinitePath:
 
 
 def _cmd_eulerian(args) -> int:
+    eulerian_row(args.n)  # InvalidArgument for n < 0, where the range is empty
     lines = [",".join(str(a) for a in eulerian_row(n)) for n in range(args.n + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -147,7 +156,7 @@ def _cmd_variance(args) -> int:
 
 def _cmd_chebyshev(args) -> int:
     rep = chebyshev_experiment(
-        args.level, Fraction(args.eps), args.reps, RngConfig(args.seed, args.replicas)
+        args.level, args.eps, args.reps, RngConfig(args.seed, args.replicas)
     )
     _emit(rep.to_json(), args.out)
     return 0 if rep.passed else 1
@@ -253,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("chebyshev", _cmd_chebyshev, "tail probability vs exact and bound")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--eps", required=True, help='threshold, e.g. "1/10"')
+    p.add_argument("--eps", type=_fraction, required=True,
+                   help='threshold, e.g. "1/10"')
     _add_rng_flags(p)
 
     p = cmd("meeting", _cmd_meeting, "pair coincidence statistics")

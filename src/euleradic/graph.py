@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import RootHasNoInEdges
+from .errors import InvalidArgument, RootHasNoInEdges
 
 
 class Turn(Enum):
@@ -171,6 +171,8 @@ class EulerianTriangle:
         return self._rows[n][k]
 
     def row(self, n: int) -> tuple[int, ...]:
+        if n < 0:
+            raise InvalidArgument(f"negative level {n} has no triangle row")
         self.extend_to(n)
         return tuple(self._rows[n])
 

@@ -4,9 +4,10 @@ Reproducibility contract: every experiment is a pure function of its
 parameters and an RngConfig.  Replica i draws from numpy's PCG64 seeded
 with SeedSequence(master_seed, spawn_key=(i,)).  Replicas are simulated
 sequentially, merged in index order, and randomness is consumed
-level-major (one batch of uniforms per level), so a run to a shorter
-horizon replays the same prefix of draws as a longer one on the same
-seeds.  Reports serialize to byte-identical JSON for identical inputs.
+level-major (one batch of uniforms per level; a pair experiment draws 2m
+uniforms per level, path a first), so a run to a shorter horizon replays
+the same prefix of draws as a longer one on the same seeds.  Reports
+serialize to byte-identical JSON for identical inputs.
 
 Under the symmetric measure, every edge out of a level-m vertex is equally
 likely, so a random path is a sequence of independent uniform out-edge
@@ -20,12 +21,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 from math import factorial, sqrt
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import MaximalPath, TooLarge
+from .errors import InvalidArgument, MaximalPath, TooLarge
 from .graph import Vertex, eulerian, path_count_between
 from .measure import (
     EXACT_TAIL_BUDGET,
@@ -59,7 +61,7 @@ class RngConfig:
 
     def __post_init__(self):
         if self.replicas < 1:
-            raise ValueError("replica count must be positive")
+            raise InvalidArgument("replica count must be positive")
 
     def generator(self, replica: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(replica,))
@@ -85,8 +87,7 @@ class RngConfig:
 class StatReport:
     """One experiment's outcome: estimates next to exact references.
 
-    passed is a pure function of the stored numbers; series holds optional
-    (level, statistic) rows bound for CSV, never part of the JSON.
+    passed is a pure function of the stored numbers.
     """
 
     experiment: str
@@ -98,7 +99,6 @@ class StatReport:
     tolerance: str
     passed: bool
     notes: tuple = ()
-    series: Optional[list] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -186,21 +186,46 @@ def sample_path_codes(n: int, reps: int, rng: np.random.Generator) -> np.ndarray
     return codes
 
 
-def _walk_columns(
-    n: int, reps: int, rng: np.random.Generator, checkpoints: tuple = ()
-) -> tuple[np.ndarray, dict]:
-    """Column chain to level n for a batch of paths; one uniform per level."""
-    ks = np.zeros(reps, dtype=np.int64)
-    snaps = {}
-    want = set(checkpoints)
-    if 0 in want:
-        snaps[0] = ks.copy()
+def _walk(n: int, width: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Columns of width independent paths at levels 0..n, one uniform each
+    per level: from column k at level m a path turns right iff u (m+2) >= k+1.
+
+    Yields one int64 array, stepped in place; a caller keeping a level copies it.
+    """
+    ks = np.zeros(width, dtype=np.int64)
+    yield ks
     for m in range(n):
-        u = rng.random(reps)
-        ks = ks + (u * (m + 2) >= ks + 1)
-        if (m + 1) in want:
-            snaps[m + 1] = ks.copy()
-    return ks, snaps
+        ks += rng.random(width) * (m + 2) >= ks + 1
+        yield ks
+
+
+def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...]:
+    """Split reps over the replicas and merge their arrays in index order.
+
+    run(generator, share) simulates one replica's share and returns a
+    tuple of arrays; the i-th arrays of all replicas are concatenated
+    along their first axis into the i-th result.
+    """
+    if reps < 1:
+        raise InvalidArgument(f"sample count {reps} must be positive")
+    parts = [run(cfg.generator(i), m) for i, m in enumerate(cfg.split(reps)) if m]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _check_level(name: str, value: int, least: int = 0) -> None:
+    if value < least:
+        raise InvalidArgument(f"{name} {value} must be at least {least}")
+
+
+def _final_columns(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
+    """Columns k_level of reps independent paths."""
+    _check_level("level", level)
+
+    def run(rng, m):
+        *_, ks = _walk(level, m, rng)
+        return (ks,)
+
+    return _replicas(cfg, reps, run)[0]
 
 
 # --- experiments --------------------------------------------------------------
@@ -208,12 +233,7 @@ def _walk_columns(
 
 def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Empirical column frequencies at one level against the exact law."""
-    parts = [
-        _walk_columns(level, m, cfg.generator(i))[0]
-        for i, m in enumerate(cfg.split(reps))
-        if m
-    ]
-    ks = np.concatenate(parts)
+    ks = _final_columns(level, reps, cfg)
     counts = np.bincount(ks, minlength=level + 1)
     dist = column_distribution(level)
     emp = counts / reps
@@ -241,20 +261,15 @@ def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
 
 def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Mean and variance of the turn surplus 2 k_n - n at one level."""
-    parts = [
-        _walk_columns(level, m, cfg.generator(i))[0]
-        for i, m in enumerate(cfg.split(reps))
-        if m
-    ]
-    ks = np.concatenate(parts)
+    ks = _final_columns(level, reps, cfg)
     u = (2 * ks - level).astype(np.float64)
     mean = float(u.mean())
     var = float(u.var(ddof=1)) if reps > 1 else 0.0
     centered = u - mean
     m2 = float((centered**2).mean())
     m4 = float((centered**4).mean())
-    se_mean = sqrt(var / reps) if reps else 0.0
-    se_var = sqrt(max(m4 - m2 * m2, 0.0) / reps) if reps else 0.0
+    se_mean = sqrt(var / reps)
+    se_var = sqrt(max(m4 - m2 * m2, 0.0) / reps)
     exact_var = Fraction(level + 2, 3) if level >= 1 else Fraction(0)
     ok = abs(mean) <= 5 * se_mean and abs(var - float(exact_var)) <= 5 * se_var
     return StatReport(
@@ -279,12 +294,10 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     the exact value within 5 standard errors plus the enclosure width.
     """
     eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-    parts = [
-        _walk_columns(level, m, cfg.generator(i))[0]
-        for i, m in enumerate(cfg.split(reps))
-        if m
-    ]
-    ks = np.concatenate(parts)
+    _check_level("level", level, least=1)
+    if eps <= 0:
+        raise InvalidArgument(f"epsilon {eps} must be positive")
+    ks = _final_columns(level, reps, cfg)
     surplus = np.abs(2 * ks - level)
     hits = int((surplus * eps.denominator >= eps.numerator * level).sum())
     emp = hits / reps
@@ -327,50 +340,29 @@ def meeting_experiment(
     from sigma to the first meeting.  keep_levels materializes per-pair
     coincidence level lists and is guarded to small problem sizes.
     """
+    _check_level("n_max", n_max)
     if keep_levels and reps * n_max > 10**7:
         raise TooLarge("per-pair coincidence lists need reps * n_max <= 1e7")
-    all_meet = []
-    all_sigma = []
-    all_lag = []
-    eq_rows = [] if keep_levels else None
-    series_acc = np.zeros(n_max + 1, dtype=np.float64) if keep_series else None
-    for i, m in enumerate(cfg.split(reps)):
-        if m == 0:
-            continue
-        rng = cfg.generator(i)
-        ka = np.zeros(m, dtype=np.int64)
-        kb = np.zeros(m, dtype=np.int64)
+
+    def run(rng, m):
         sigma = np.full(m, -1, dtype=np.int64)
         meet = np.zeros(m, dtype=np.int64)
         lag = np.full(m, -1, dtype=np.int64)
-        eq_block = np.zeros((m, n_max + 1), dtype=bool) if keep_levels else None
-        if keep_series:
-            series_acc[0] += m
-        if keep_levels:
-            eq_block[:, 0] = True
-        for lev in range(n_max):
-            u = rng.random((2, m))
-            ka = ka + (u[0] * (lev + 2) >= ka + 1)
-            kb = kb + (u[1] * (lev + 2) >= kb + 1)
-            n = lev + 1
-            eq = ka == kb
+        hits = np.zeros((1, n_max + 1), dtype=np.int64)  # one row per replica
+        eq_block = np.zeros((m, n_max + 1 if keep_levels else 0), dtype=bool)
+        for n, ks in enumerate(_walk(n_max, 2 * m, rng)):
+            eq = ks[:m] == ks[m:]
             sigma = np.where((sigma < 0) & ~eq, n, sigma)
             meeting = (sigma >= 0) & eq
             meet += meeting
             fresh = meeting & (lag < 0)
             lag = np.where(fresh, n - sigma, lag)
-            if keep_series:
-                series_acc[n] += int(eq.sum())
+            hits[0, n] = np.count_nonzero(eq)
             if keep_levels:
                 eq_block[:, n] = eq
-        all_meet.append(meet)
-        all_sigma.append(sigma)
-        all_lag.append(lag)
-        if keep_levels:
-            eq_rows.append(eq_block)
-    meet = np.concatenate(all_meet)
-    sigma = np.concatenate(all_sigma)
-    lag = np.concatenate(all_lag)
+        return meet, sigma, lag, hits, eq_block
+
+    meet, sigma, lag, hits, eq_all = _replicas(cfg, reps, run)
     diverged = sigma >= 0
     never = int((~diverged).sum())
     # never-diverged pairs count as having no meetings: conservative
@@ -379,17 +371,13 @@ def meeting_experiment(
     hist = [[int(a), int(b)] for a, b in zip(lags, counts)]
     levels_list = None
     if keep_levels:
-        eq_all = np.vstack(eq_rows)
-        levels_list = []
-        for row, s in zip(eq_all, sigma):
-            if s < 0:
-                levels_list.append([])
-            else:
-                ns = np.nonzero(row)[0]
-                levels_list.append([int(x) for x in ns if x > s])
+        levels_list = [
+            [int(x) for x in np.flatnonzero(row) if x > s] if s >= 0 else []
+            for row, s in zip(eq_all, sigma)
+        ]
     series = None
     if keep_series:
-        series = [(n, series_acc[n] / reps) for n in range(n_max + 1)]
+        series = [(n, h / reps) for n, h in enumerate(hits.sum(axis=0))]
     return MeetingStats(
         n_max=n_max,
         reps=reps,
@@ -420,35 +408,21 @@ def pair_drift_experiment(
     and is constant across the pairs in a group because the four-outcome
     drift depends on the columns only through their gap (for gap > 0).
     """
-    all_ka = []
-    all_kb = []
-    all_inc = []
-    for i, m in enumerate(cfg.split(reps)):
-        if m == 0:
-            continue
-        rng = cfg.generator(i)
-        ka = np.zeros(m, dtype=np.int64)
-        kb = np.zeros(m, dtype=np.int64)
-        for lev in range(level):
-            u = rng.random((2, m))
-            ka = ka + (u[0] * (lev + 2) >= ka + 1)
-            kb = kb + (u[1] * (lev + 2) >= kb + 1)
-        u = rng.random((2, m))
-        ka2 = ka + (u[0] * (level + 2) >= ka + 1)
-        kb2 = kb + (u[1] * (level + 2) >= kb + 1)
-        all_ka.append(ka)
-        all_kb.append(kb)
-        all_inc.append(np.abs(ka2 - kb2) - np.abs(ka - kb))
-    ka = np.concatenate(all_ka)
-    kb = np.concatenate(all_kb)
+    _check_level("level", level)
+
+    def run(rng, m):
+        walk = _walk(level + 1, 2 * m, rng)
+        ka, kb = np.split(next(islice(walk, level, None)).copy(), 2)
+        after = next(walk)
+        return ka, kb, np.abs(after[:m] - after[m:]) - np.abs(ka - kb)
+
+    ka, kb, inc = _replicas(cfg, reps, run)
     gap = np.abs(ka - kb)
-    inc = np.concatenate(all_inc).astype(np.float64)
-    estimates = {}
-    stderr = {}
-    exact = {}
+    inc = inc.astype(np.float64)
+    estimates, stderr, exact = {}, {}, {}
     ok = True
     judged = 0
-    for d in range(1, int(gap.max()) + 1 if gap.size else 1):
+    for d in range(1, int(gap.max()) + 1):
         sel = gap == d
         cnt = int(sel.sum())
         if cnt < min_group:
@@ -501,6 +475,12 @@ def birkhoff_experiment(
     """
     ref = Fraction(1, factorial(len(cylinder) + 1))
     col = big_level // 2 if column is None else column
+    if not 0 <= col <= big_level:
+        raise InvalidArgument(f"column {col} outside level {big_level}")
+    if len(cylinder) > big_level:
+        raise InvalidArgument(
+            f"cylinder of length {len(cylinder)} is longer than level {big_level}"
+        )
     target = Vertex(big_level, col)
     if mode == "exact_stack":
         tol = 0.02 if tolerance is None else tolerance

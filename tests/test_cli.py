@@ -179,6 +179,32 @@ def test_usage_errors_exit_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "eulerian --n -1",
+    "moments --levels -2",
+    "sample --level 5 --reps 0 --seed 1",
+    "meeting --nmax 5 --reps 0 --seed 1",
+    "sample --level -1 --reps 10 --seed 1",
+    "variance --level -1 --reps 10 --seed 1",
+    "meeting --nmax -1 --reps 10 --seed 1",
+    "chebyshev --level 0 --eps 1/2 --reps 10 --seed 1",
+    "chebyshev --level 10 --eps 0 --reps 10 --seed 1",
+    "variance --level 5 --reps 10 --seed 1 --replicas 0",
+    "chebyshev --level 10 --eps abc --reps 10 --seed 1",
+    "birkhoff --cylinder L0 --level 5 --column 9",
+    "birkhoff --cylinder L0.L0 --level 1",
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") or "usage:" in captured.err
+
+
 def test_negative_stage_is_a_usage_error(capsys):
     code, out, err = _run(capsys, "stack", "--stage", "-1")
     assert code == 2

@@ -15,6 +15,7 @@ import pytest
 from euleradic import (
     EdgeRef,
     EulerianTriangle,
+    InvalidArgument,
     RootHasNoInEdges,
     Turn,
     Vertex,
@@ -146,6 +147,17 @@ def test_eulerian_outside_triangle_is_zero():
     assert eulerian(3, -1) == 0
     assert eulerian(3, 4) == 0
     assert eulerian(-1, 0) == 0
+
+
+def test_negative_row_is_invalid_not_stale():
+    # a negative index must not read a row from the end of the memo table
+    tri = EulerianTriangle(5)
+    with pytest.raises(InvalidArgument):
+        tri.row(-1)
+    eulerian_row(5)
+    with pytest.raises(InvalidArgument):
+        eulerian_row(-1)
+    assert tri.value(-1, 0) == 0
 
 
 def test_eulerian_matches_brute_path_counts():

@@ -8,6 +8,7 @@ property: extending the horizon with the same seeds replays the shorter
 run exactly, which the meeting tests exploit.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial
@@ -17,6 +18,7 @@ import pytest
 
 from euleradic import (
     FinitePath,
+    InvalidArgument,
     RngConfig,
     TooLarge,
     Vertex,
@@ -58,6 +60,41 @@ def test_rng_generator_reproducible():
 def test_rng_validation():
     with pytest.raises(ValueError):
         RngConfig(1, replicas=0)
+
+
+def test_draw_order_is_frozen():
+    # sha256 of each report's JSON, frozen: any change to which uniforms a
+    # run draws, or in what order, shows here across code versions
+    cfg = RngConfig(2026, 3)
+    reports = {
+        "383508ba3db0d7e85739ca8417ccae77c46bdf2286aca3968aece6dca2f49e37":
+            sample_experiment(30, 10007, cfg),
+        "8fbfda3343c701a339b1adc033a7e29a53a2a26d917dba6aa774a2f9c27ce787":
+            variance_experiment(50, 10007, cfg),
+        "18746f3f32815accdc5fd018edd6932f2e3a9b1a2565718c914983de5a6ba712":
+            chebyshev_experiment(700, Fraction(1, 4), 5003, cfg),
+        "f07ad9537d31d5f5c907c7b5d222a04270be1724163515146467eb3ef80da3d9":
+            meeting_experiment(200, 401, cfg),
+        "3124194fae38e92afdda0bc83d4b7f5dcfb7f4c898e449da3d1d7c1bcef833ea":
+            pair_drift_experiment(30, 20011, cfg),
+    }
+    for digest, report in reports.items():
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: RngConfig(1, replicas=0),
+    lambda cfg: sample_experiment(-1, 10, cfg),
+    lambda cfg: variance_experiment(5, 0, cfg),
+    lambda cfg: chebyshev_experiment(0, Fraction(1, 2), 10, cfg),
+    lambda cfg: chebyshev_experiment(10, Fraction(-1, 2), 10, cfg),
+    lambda cfg: meeting_experiment(-1, 10, cfg),
+    lambda cfg: pair_drift_experiment(-1, 10, cfg),
+    lambda cfg: pair_drift_experiment(5, 0, cfg),
+])
+def test_experiment_arguments_are_validated(call):
+    with pytest.raises(InvalidArgument):
+        call(RngConfig(1, replicas=2))
 
 
 # --- sampling primitives -----------------------------------------------------------
@@ -201,6 +238,10 @@ def test_birkhoff_exact_stack():
     report2 = birkhoff_experiment(FinitePath.from_text("L0.R0"), 100, column=50)
     assert report2.passed
     assert report2.exact["reference"] == Fraction(1, 6)
+    with pytest.raises(InvalidArgument):
+        birkhoff_experiment(FinitePath.from_text("L0"), 5, column=9)
+    with pytest.raises(InvalidArgument):
+        birkhoff_experiment(FinitePath.from_text("L0.L0"), 1)
 
 
 def test_birkhoff_exact_stack_full_length_cylinder():
