@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import EulerAdicError, InvalidArgument
+from .errors import EulerAdicError, InvalidArgument, require_at_least
 from .graph import Vertex, eulerian, eulerian_row
 from .measure import (
     check_invariance_conditions,
@@ -102,6 +102,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
+    require_at_least("pushforward depth", args.pushforward_depth)
     inv = check_invariance_conditions(WeightSystem.symmetric(), args.levels)
     push = [pushforward_check(n) for n in range(args.pushforward_depth + 1)]
     payload = {
@@ -126,6 +127,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_drift(args) -> int:
+    require_at_least("levels", args.levels)
     rows = ["n,k,k2,drift"]
     bad = 0
     for n in range(args.levels + 1):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that turns a
+count below its least value into an InvalidArgument.
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
@@ -12,6 +13,13 @@ class EulerAdicError(Exception):
 class InvalidArgument(EulerAdicError, ValueError):
     """An argument lies outside the domain of the call, such as a negative
     stage; the command line reports it as a usage error."""
+
+
+def require_at_least(name: str, value: int, least: int = 0) -> None:
+    """Raise InvalidArgument when a count lies below least; a negative count
+    would otherwise run an empty loop and report success."""
+    if value < least:
+        raise InvalidArgument(f"{name} {value} must be at least {least}")
 
 
 class RootHasNoInEdges(EulerAdicError):

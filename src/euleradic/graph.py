@@ -12,6 +12,26 @@ Incoming edges of a vertex carry a total order (the in-rank): the right-turn
 copies from (n-1, k-1) come first, in copy order, followed by the left-turn
 copies from (n-1, k), in copy order.  This order drives the successor map in
 the transform module.
+
+Paths between any two vertices have a closed form.  A path from (m, j) to
+(n, k) inserts the letters m+2, ..., n+1 one at a time into a fixed
+permutation of 1..m+1 with j rises, ending with k rises: from c rises, c+1
+of the slots keep the count (the left copies) and the other slots add a
+rise (the right copies).  Worpitzky's barred-word count then gives, for
+every integer x,
+
+    sum_k N(j -> k) C(x+k, n+1) = x^(n-m) C(x+j, m+1),
+
+and taking finite differences in x inverts it:
+
+    N(j -> k) = sum_{i=0}^{n-k} (-1)^i C(n+2, i) x_i^(n-m) C(x_i+j, m+1),
+    x_i = n+1-k-i.
+
+The graph is symmetric under c -> level - c, so (j, k) may be mirrored to
+(m-j, n-k) first, which leaves at most n/2+1 terms.  A call costs O(n-k)
+big-integer powers, where a level-by-level count fills about n^2/4
+big-integer cells.  From the root (m = 0) the mirrored sum is the
+classical A(n, k) = sum_i (-1)^i C(n+2, i) (k+1-i)^(n+1).
 """
 
 from __future__ import annotations
@@ -19,6 +39,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .errors import InvalidArgument, RootHasNoInEdges
 
@@ -197,20 +218,21 @@ def eulerian_row(n: int) -> tuple[int, ...]:
 def path_count_between(a: Vertex, b: Vertex) -> int:
     """Number of edge paths from a to b, counting parallel copies.
 
-    Dynamic program over levels; 0 when b is unreachable from a.  With a
-    equal to the root this reproduces eulerian(b.level, b.column).
+    Closed form by Worpitzky inversion (see the module docstring), with
+    the mirror c -> level - c applied first when 2 b.column < b.level so
+    the alternating sum has at most b.level/2 + 1 terms; 0 when b is
+    unreachable from a.  With a equal to the root this is the classical
+    alternating sum for eulerian(b.level, b.column).  The triangle is
+    never read.
     """
-    if b.level < a.level:
+    m, j, n, k = a.level, a.column, b.level, b.column
+    if n < m or k < j or k - j > n - m:
         return 0
-    counts = {a.column: 1}
-    for lev in range(a.level, b.level):
-        nxt: dict[int, int] = {}
-        remaining = b.level - lev
-        for c, v in counts.items():
-            if c > b.column or b.column - c > remaining:
-                # target column is no longer reachable from c; prune
-                continue
-            nxt[c] = nxt.get(c, 0) + v * (c + 1)
-            nxt[c + 1] = nxt.get(c + 1, 0) + v * (lev - c + 1)
-        counts = nxt
-    return counts.get(b.column, 0)
+    if 2 * k < n:
+        j, k = m - j, n - k
+    total = 0
+    for i in range(n - k + 1):
+        x = n + 1 - k - i
+        term = comb(n + 2, i) * x ** (n - m) * comb(x + j, m + 1)
+        total += -term if i & 1 else term
+    return total

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import TooLarge, require_at_least
 from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_row, out_edges
 from .paths import (
     DEFAULT_ENUMERATION_CAP,
@@ -105,8 +105,10 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     (a) within every bundle out of a vertex at level < n_max, all parallel
     copies carry one weight; (b) for every diamond with top vertex at level
     n < n_max, the left-then-right product equals the right-then-left one.
-    Returns the first violation found, as data.
+    Returns the first violation found, as data.  A negative n_max is an
+    InvalidArgument: it would pass on no checks at all.
     """
+    require_at_least("invariance levels", n_max)
     parallel = 0
     diamonds = 0
     for n in range(n_max):
@@ -169,6 +171,7 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     fiber is walked in Vershik order on digit codes, and each distinct
     edge is weighed once per call, as an integer numerator and denominator.
     """
+    require_at_least("pushforward length", n)
     if ws is None:
         ws = WeightSystem.symmetric()
     weights: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -327,16 +330,19 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     """Exact one-step expected change of |k_n - k_n'| for independent paths.
 
     Computed from the four turn combinations of the product kernel; no
-    closed form is assumed here.
+    closed form is assumed here.  Each combination is weighed by its
+    integer kernel weights, stay k+1 and step n-k+1 per path, and the sum
+    is divided once by (n+2)^2.
     """
-    stay1, step1 = transition_probs(n, k)
-    stay2, step2 = transition_probs(n, k2)
+    for c in (k, k2):
+        if not 0 <= c <= n:
+            raise ValueError(f"column {c} outside level {n}")
     gap = abs(k - k2)
-    drift = Fraction(0)
-    for d1, p1 in ((0, stay1), (1, step1)):
-        for d2, p2 in ((0, stay2), (1, step2)):
-            drift += p1 * p2 * (abs((k + d1) - (k2 + d2)) - gap)
-    return drift
+    total = 0
+    for d1, w1 in ((0, k + 1), (1, n - k + 1)):
+        for d2, w2 in ((0, k2 + 1), (1, n - k2 + 1)):
+            total += w1 * w2 * (abs(k + d1 - k2 - d2) - gap)
+    return Fraction(total, (n + 2) ** 2)
 
 
 # --- tail probabilities ------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, MaximalPath, TooLarge
+from .errors import InvalidArgument, MaximalPath, TooLarge, require_at_least
 from .graph import Vertex, eulerian, path_count_between
 from .measure import (
     EXACT_TAIL_BUDGET,
@@ -168,6 +168,7 @@ def sample_path(n: int, rng: np.random.Generator) -> FinitePath:
     Every edge out of level m has probability 1/(m+2), so the out-edge
     index is uniform; this implies the column kernel P(stay) = (k+1)/(m+2).
     """
+    require_at_least("path length", n)
     indices = [int(rng.integers(0, m + 2)) for m in range(n)]
     return path_from_out_indices(indices)
 
@@ -212,14 +213,9 @@ def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _check_level(name: str, value: int, least: int = 0) -> None:
-    if value < least:
-        raise InvalidArgument(f"{name} {value} must be at least {least}")
-
-
 def _final_columns(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
     """Columns k_level of reps independent paths."""
-    _check_level("level", level)
+    require_at_least("level", level)
 
     def run(rng, m):
         *_, ks = _walk(level, m, rng)
@@ -294,7 +290,7 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     the exact value within 5 standard errors plus the enclosure width.
     """
     eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-    _check_level("level", level, least=1)
+    require_at_least("level", level, least=1)
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")
     ks = _final_columns(level, reps, cfg)
@@ -340,7 +336,8 @@ def meeting_experiment(
     from sigma to the first meeting.  keep_levels materializes per-pair
     coincidence level lists and is guarded to small problem sizes.
     """
-    _check_level("n_max", n_max)
+    require_at_least("n_max", n_max)
+    require_at_least("min_meetings", min_meetings)
     if keep_levels and reps * n_max > 10**7:
         raise TooLarge("per-pair coincidence lists need reps * n_max <= 1e7")
 
@@ -408,7 +405,7 @@ def pair_drift_experiment(
     and is constant across the pairs in a group because the four-outcome
     drift depends on the columns only through their gap (for gap > 0).
     """
-    _check_level("level", level)
+    require_at_least("level", level)
 
     def run(rng, m):
         walk = _walk(level + 1, 2 * m, rng)
@@ -481,6 +478,7 @@ def birkhoff_experiment(
         raise InvalidArgument(
             f"cylinder of length {len(cylinder)} is longer than level {big_level}"
         )
+    require_at_least("budget", budget)
     target = Vertex(big_level, col)
     if mode == "exact_stack":
         tol = 0.02 if tolerance is None else tolerance

@@ -5,6 +5,7 @@ Frozen golden outputs for the exact commands, exit-code contract (0 pass,
 for the seeded ones, and --out writing the same bytes as stdout would.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,39 @@ def test_drift_table(capsys):
     assert "2,0,1,-1/4\n" in out
     assert "0,0,0,1/2\n" in out
     assert err == ""
+
+
+# sha256 of stdout, frozen: the exact drift table and exact_stack Birkhoff
+# reports must keep their bytes whatever route computes them
+_EXACT_GOLDEN = {
+    "drift --levels 30":
+        "0d851332e4d08b0112194c701dc26dbcbffc883c54c6f292de1e14b58b3663d1",
+    "birkhoff --cylinder L0 --level 12":
+        "4cbc477bcf48ed0ce471f1d718c4338bf398c1505ff0d055a62b45afa0445840",
+    "birkhoff --cylinder L0 --level 300":
+        "b8454dd50ec9afcb96a899a059920e2e0e0a673baba91afb66e79d699ac8706b",
+    "birkhoff --cylinder L0 --level 600":
+        "0d2106a6dde11dc9ef1ed3d40c6aef0005f386224680f827f8d63d909244de44",
+    "birkhoff --cylinder L0.R0 --level 12":
+        "0c879a500de250139dfdc40ba52356565b7bbef2c0946386be70744aa5272edc",
+    "birkhoff --cylinder L0.R0 --level 300":
+        "4243bf0abce9c2f1ca02a2a428ab447592a39401373da929a1822a2f44d94aaf",
+    "birkhoff --cylinder L0.R0 --level 600":
+        "a6332c91318bfd62e6d7df64a3f8b2a185b9f19cecb801feaa7e62c9fc5066a2",
+    "birkhoff --cylinder R0.L1 --level 12":
+        "1361eecb342e36143d4e743c265f6aee3b0bcf4b8d289376035bd833b041847b",
+    "birkhoff --cylinder R0.L1 --level 300":
+        "49d20161298cf4fb90584023f39941d0946eedb6cb30f4a734ee102de1897e55",
+    "birkhoff --cylinder R0.L1 --level 600":
+        "9fccc359f672de84175136886aa72e19f414f4aa3ebd98c1cd91cae8ba0bae4e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_EXACT_GOLDEN))
+def test_exact_output_bytes_are_frozen(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_GOLDEN[argv]
 
 
 def test_stack_stage(capsys):
@@ -193,6 +227,11 @@ def test_usage_errors_exit_2():
     "chebyshev --level 10 --eps abc --reps 10 --seed 1",
     "birkhoff --cylinder L0 --level 5 --column 9",
     "birkhoff --cylinder L0.L0 --level 1",
+    "invariance --levels -1 --pushforward-depth -1",
+    "invariance --levels 3 --pushforward-depth -1",
+    "drift --levels -1",
+    "birkhoff --cylinder L0 --level 5 --mode orbit_mc --budget -5",
+    "meeting --nmax 5 --reps 10 --seed 1 --min-meetings -3",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:

@@ -3,7 +3,9 @@
 Core claims: out-degree n+2 split into k+1 left and n-k+1 right copies;
 in-edges ordered right bundle then left bundle with gapless ranks; the
 triangle values equal brute-force path counts and permutation rise counts;
-row n sums to (n+1)!; path_count_between splits over intermediate levels.
+row n sums to (n+1)!; path_count_between splits over intermediate levels,
+equals a level-by-level count on every pair of vertices up to level 14 and
+on sampled pairs up to level 200, and is symmetric under the column mirror.
 """
 
 import threading
@@ -11,6 +13,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euleradic import (
     EdgeRef,
@@ -54,6 +58,24 @@ def _brute_rise_counts(n):
     for p in permutations(range(n + 1)):
         counts[sum(a < b for a, b in zip(p, p[1:]))] += 1
     return counts
+
+
+def _level_dp_count(a, b):
+    """Paths from a to b by pushing counts level by level, pruning columns
+    from which b.column can no longer be reached."""
+    if b.level < a.level:
+        return 0
+    counts = {a.column: 1}
+    for lev in range(a.level, b.level):
+        nxt = {}
+        remaining = b.level - lev
+        for c, v in counts.items():
+            if c > b.column or b.column - c > remaining:
+                continue
+            nxt[c] = nxt.get(c, 0) + v * (c + 1)
+            nxt[c + 1] = nxt.get(c + 1, 0) + v * (lev - c + 1)
+        counts = nxt
+    return counts.get(b.column, 0)
 
 
 # --- vertices and edges ------------------------------------------------------
@@ -226,3 +248,52 @@ def test_path_count_chapman_kolmogorov():
                 for j in range(mid + 1)
             )
             assert split == whole
+
+
+def test_path_count_between_matches_level_dp_exhaustively():
+    # every ordered pair of vertices up to level 14, unreachable ones included
+    verts = [Vertex(n, k) for n in range(15) for k in range(n + 1)]
+    for a in verts:
+        for b in verts:
+            assert path_count_between(a, b) == _level_dp_count(a, b), (a, b)
+
+
+def test_path_count_between_mirror():
+    for m in range(8):
+        for j in range(m + 1):
+            for n in range(m, 20):
+                for k in range(n + 1):
+                    assert path_count_between(Vertex(m, j), Vertex(n, k)) == (
+                        path_count_between(Vertex(m, m - j), Vertex(n, n - k)))
+
+
+@st.composite
+def vertex_pairs(draw, max_level=200):
+    """A start vertex and a target at or below it, reachable or not."""
+    n = draw(st.integers(0, max_level))
+    m = draw(st.integers(0, n))
+    j = draw(st.integers(0, m))
+    if draw(st.booleans()):  # inside the reachable cone
+        k = j + draw(st.integers(0, n - m))
+    else:
+        k = draw(st.integers(0, n))
+    return Vertex(m, j), Vertex(n, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(vertex_pairs())
+def test_path_count_between_matches_level_dp_deep(pair):
+    a, b = pair
+    assert path_count_between(a, b) == _level_dp_count(a, b)
+
+
+def test_deep_cylinders_partition_the_fiber():
+    # the cylinders of length L split the A(600, 300) paths into (600, 300);
+    # A(L, c) of them end at (L, c), each with the same count of extensions
+    target = Vertex(600, 300)
+    for length in range(3):
+        through = sum(
+            eulerian(length, c) * path_count_between(Vertex(length, c), target)
+            for c in range(length + 1)
+        )
+        assert through == eulerian(600, 300)

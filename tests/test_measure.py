@@ -17,6 +17,7 @@ import pytest
 from euleradic import (
     EdgeRef,
     FinitePath,
+    InvalidArgument,
     Turn,
     Vertex,
     WeightSystem,
@@ -122,6 +123,15 @@ def test_turn_biased_system_passes_conditions():
     # and its cylinder measure is constant on every fiber, so the
     # pushforward identity holds for it too
     assert pushforward_check(5, ws=ws).ok
+
+
+def test_negative_counts_are_invalid_not_vacuous():
+    # no levels and no cylinders would otherwise be reported as a pass
+    with pytest.raises(InvalidArgument):
+        check_invariance_conditions(WeightSystem.symmetric(), -1)
+    with pytest.raises(InvalidArgument):
+        pushforward_check(-1)
+    assert check_invariance_conditions(WeightSystem.symmetric(), 0).ok
 
 
 # --- pushforward -----------------------------------------------------------------
@@ -266,6 +276,12 @@ def test_pair_drift_matches_edge_enumeration():
         for k in range(n + 1):
             for k2 in range(n + 1):
                 assert pair_drift(n, k, k2) == _edge_drift(n, k, k2)
+
+
+def test_pair_drift_rejects_columns_outside_the_level():
+    for n, k, k2 in ((3, 4, 0), (3, 0, 4), (3, -1, 0), (-1, 0, 0)):
+        with pytest.raises(ValueError):
+            pair_drift(n, k, k2)
 
 
 def test_pair_drift_closed_form():

@@ -91,6 +91,10 @@ def test_draw_order_is_frozen():
     lambda cfg: meeting_experiment(-1, 10, cfg),
     lambda cfg: pair_drift_experiment(-1, 10, cfg),
     lambda cfg: pair_drift_experiment(5, 0, cfg),
+    lambda cfg: meeting_experiment(5, 10, cfg, min_meetings=-3),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, mode="orbit_mc",
+                                    cfg=cfg, budget=-5),
+    lambda cfg: sample_path(-1, cfg.generator(0)),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
