@@ -22,7 +22,6 @@ from .graph import (
     Vertex,
     eulerian,
     eulerian_row,
-    in_edge_with_rank,
     in_edges,
     out_edges,
     path_count_between,
@@ -40,7 +39,6 @@ from .paths import (
     vershik_compare,
 )
 from .transform import (
-    OrbitPosition,
     iterate,
     orbit_rank,
     path_with_rank,
@@ -76,7 +74,6 @@ from .montecarlo import (
     pair_drift_experiment,
     sample_experiment,
     sample_path,
-    sample_path_codes,
     variance_experiment,
 )
 

@@ -185,7 +185,7 @@ def _cmd_meeting(args) -> int:
 
 
 def _cmd_birkhoff(args) -> int:
-    cfg = RngConfig(args.seed, args.replicas) if args.mode == "orbit_mc" else None
+    cfg = RngConfig(args.seed) if args.mode == "orbit_mc" else None
     rep = birkhoff_experiment(
         args.cylinder,
         args.level,
@@ -286,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=1)
 
     p = cmd("stack", _cmd_stack, "dump a stage layout as CSV")
     p.add_argument("--stage", type=int, required=True)

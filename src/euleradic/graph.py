@@ -145,18 +145,6 @@ def in_edges(v: Vertex) -> list[EdgeRef]:
     return edges
 
 
-def in_edge_with_rank(v: Vertex, rank: int) -> EdgeRef:
-    """The unique edge into v with the given in-rank, without building the list."""
-    n, k = v.level, v.column
-    if n == 0:
-        raise RootHasNoInEdges("the root (0,0) has no incoming edges")
-    if k >= 1:
-        if rank <= n - k:
-            return EdgeRef(Vertex(n - 1, k - 1), Turn.RIGHT, rank)
-        return EdgeRef(Vertex(n - 1, k), Turn.LEFT, rank - (n - k + 1))
-    return EdgeRef(Vertex(n - 1, 0), Turn.LEFT, rank)
-
-
 class EulerianTriangle:
     """Memoized table of the path counts A(n, k).
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import TooLarge, require_at_least
-from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_row, out_edges
+from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_row
 from .paths import (
     DEFAULT_ENUMERATION_CAP,
     FinitePath,
@@ -61,12 +61,6 @@ class WeightSystem:
     def symmetric(cls) -> "WeightSystem":
         """The system with weight 1/(n+2) on every edge out of level n."""
         return cls("symmetric", lambda e: Fraction(1, e.source.level + 2))
-
-    @classmethod
-    def from_function(
-        cls, fn: Callable[[EdgeRef], Fraction], label: str = "custom"
-    ) -> "WeightSystem":
-        return cls(label, fn)
 
     def weight(self, e: EdgeRef) -> Fraction:
         w = Fraction(self.fn(e))
@@ -114,12 +108,11 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     for n in range(n_max):
         for k in range(n + 1):
             v = Vertex(n, k)
-            for turn in (Turn.LEFT, Turn.RIGHT):
-                bundle = [e for e in out_edges(v) if e.turn is turn]
-                w0 = ws.weight(bundle[0])
+            for turn, size in ((Turn.LEFT, k + 1), (Turn.RIGHT, n - k + 1)):
+                w0 = ws.weight(EdgeRef(v, turn, 0))
                 parallel += 1
-                for e in bundle[1:]:
-                    if ws.weight(e) != w0:
+                for copy in range(1, size):
+                    if ws.weight(EdgeRef(v, turn, copy)) != w0:
                         return InvarianceReport(
                             ws.label, n_max, parallel, diamonds,
                             f"parallel edges differ in {turn.value} bundle "
@@ -365,20 +358,19 @@ def column_tail(n: int, epsilon) -> Fraction:
     return Fraction(hits, factorial(n + 1))
 
 
-def column_tail_bounds(
-    n: int, epsilon, denom_bits: int = ENCLOSURE_DENOM_BITS
-) -> tuple[Fraction, Fraction]:
+def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo <= P(|2 k_n - n| >= epsilon n) <= hi.
 
     Runs the column-chain recursion on integer numerators over the fixed
-    denominator 2**denom_bits, rounding down for the lower bound and up for
-    the upper, both in one pass.  Rounding never cancels, so the two bracket the
-    exact law pointwise; the bracket width stays below (n+1)^2 / 2**denom_bits
-    because each level adds at most one unit of numerator per entry.
+    denominator 2**ENCLOSURE_DENOM_BITS, rounding down for the lower bound
+    and up for the upper, both in one pass.  Rounding never cancels, so the
+    two bracket the exact law pointwise; the bracket width stays below
+    (n+1)^2 / 2**ENCLOSURE_DENOM_BITS because each level adds at most one
+    unit of numerator per entry.
     """
     if n > ENCLOSURE_LEVEL_CAP:
         raise ValueError(f"enclosure DP capped at n = {ENCLOSURE_LEVEL_CAP}")
-    denom = 1 << denom_bits
+    denom = 1 << ENCLOSURE_DENOM_BITS
     # int64 safety: entries stay near denom, coefficients below n+2
     if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:
         raise ValueError("denominator too large for int64 products at this level")

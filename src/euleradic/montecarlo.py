@@ -3,11 +3,13 @@
 Reproducibility contract: every experiment is a pure function of its
 parameters and an RngConfig.  Replica i draws from numpy's PCG64 seeded
 with SeedSequence(master_seed, spawn_key=(i,)).  Replicas are simulated
-sequentially, merged in index order, and randomness is consumed
-level-major (one batch of uniforms per level; a pair experiment draws 2m
-uniforms per level, path a first), so a run to a shorter horizon replays
-the same prefix of draws as a longer one on the same seeds.  Reports
-serialize to byte-identical JSON for identical inputs.
+sequentially, merged in index order, and the column experiments consume
+randomness level-major (one uniform per path and level; a pair experiment
+draws 2m uniforms per level, path a first), so a run to a shorter horizon
+replays the same prefix of draws as a longer one on the same seeds.  The
+Birkhoff orbit walk draws only its start path, from replica 0, with
+sample_path: one integer in [0, m+2) per level m.  Reports serialize to
+byte-identical JSON for identical inputs.
 
 Under the symmetric measure, every edge out of a level-m vertex is equally
 likely, so a random path is a sequence of independent uniform out-edge
@@ -171,20 +173,6 @@ def sample_path(n: int, rng: np.random.Generator) -> FinitePath:
     require_at_least("path length", n)
     indices = [int(rng.integers(0, m + 2)) for m in range(n)]
     return path_from_out_indices(indices)
-
-
-def sample_path_codes(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized path sampling, encoded as integers in [0, (n+1)!).
-
-    The code is the left-to-right interval index of the stacking layout:
-    most significant digit first, code = (..((j_0)(3) + j_1)(4) + ..).
-    """
-    if factorial(n + 1) > 2**62:
-        raise TooLarge(f"path codes for length {n} exceed int64")
-    codes = np.zeros(reps, dtype=np.int64)
-    for m in range(n):
-        codes = codes * (m + 2) + rng.integers(0, m + 2, size=reps)
-    return codes
 
 
 def _walk(n: int, width: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -465,10 +453,10 @@ def birkhoff_experiment(
     exact big-integer ratio converging to the cylinder's measure; the
     report compares it to 1/(len+1)! in relative terms.
 
-    orbit_mc: samples one length-N path and walks its successor orbit for
-    a step budget, counting prefix hits.  Hitting the fiber's maximal
-    path before the budget is reported as an exhausted orbit, not an
-    error.
+    orbit_mc: samples one length-N path from cfg's replica 0 and walks its
+    successor orbit for a step budget, counting prefix hits.  Hitting the
+    fiber's maximal path before the budget is reported as an exhausted
+    orbit, not an error.
     """
     ref = Fraction(1, factorial(len(cylinder) + 1))
     col = big_level // 2 if column is None else column

@@ -240,22 +240,32 @@ def max_path_to(v: Vertex) -> FinitePath:
 # --- order ------------------------------------------------------------------
 
 
+def _in_rank(m: int, k: int, j: int) -> int:
+    """EdgeRef.in_rank of out-edge j of the vertex (m, k)."""
+    if j > k:
+        return j - k - 1
+    return j + (m - k + 2 if k else 0)
+
+
 def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
-    """Order of two same-length paths at the largest disagreement index."""
+    """Order of two same-length paths at the largest disagreement index.
+
+    An edge is a digit together with its source column: equal digits out
+    of different columns are different edges.
+    """
     if len(p) != len(q):
         raise LengthMismatch(f"lengths {len(p)} and {len(q)} differ")
-    if p._digits == q._digits:
-        return Order.EQUAL
-    n = len(p) - 1
-    while step_for_out_index(p._cols[n], p._digits[n]) == step_for_out_index(
-        q._cols[n], q._digits[n]
-    ):
-        n -= 1
-    if p._cols[n + 1] != q._cols[n + 1]:
+    pd, pc, qd, qc = p._digits, p._cols, q._digits, q._cols
+    if pc[-1] != qc[-1]:
         return Order.INCOMPARABLE
-    rp = p.edge_at(n).in_rank
-    rq = q.edge_at(n).in_rank
-    return Order.LESS if rp < rq else Order.GREATER
+    if pd == qd:
+        return Order.EQUAL
+    n = len(pd) - 1
+    while pd[n] == qd[n] and pc[n] == qc[n]:
+        n -= 1
+    if _in_rank(n, pc[n], pd[n]) < _in_rank(n, qc[n], qd[n]):
+        return Order.LESS
+    return Order.GREATER
 
 
 def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[FinitePath]:

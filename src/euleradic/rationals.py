@@ -1,7 +1,8 @@
 """Exact-rational text I/O and deterministic JSON serialization.
 
-Rationals cross the text boundary as "p/q" strings so that round trips are
-bit-exact; floats are printed with a fixed number of significant digits.
+Rationals cross the text boundary as "p/q" strings, which Fraction(text)
+parses back exactly; floats are printed with a fixed number of
+significant digits.
 stable_json gives byte-identical output for equal inputs: keys are sorted
 and nothing volatile (timestamps, addresses) is ever embedded.
 """
@@ -22,16 +23,8 @@ def fraction_to_text(x: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def fraction_from_text(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer "p") back into a Fraction."""
-    num, sep, den = text.partition("/")
-    if sep:
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
-
-
-def float_text(x: float, digits: int = DEFAULT_FLOAT_DIGITS) -> str:
-    return format(float(x), f".{digits}g")
+def float_text(x: float) -> str:
+    return format(float(x), f".{DEFAULT_FLOAT_DIGITS}g")
 
 
 def jsonable(obj):

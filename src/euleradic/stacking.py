@@ -24,7 +24,6 @@ from math import factorial
 from typing import Iterator, Optional
 
 from .errors import InvalidArgument, TooLarge
-from .graph import eulerian
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, code_columns
 from .transform import successor_code
 
@@ -92,8 +91,8 @@ def encode_point(u, n: int) -> FinitePath:
 class StackLayout:
     """The stage-n assignment of length-n paths to intervals.
 
-    The bijection is realized arithmetically: interval_of and path_at run
-    an O(n) descent instead of materializing (n+1)! entries, and
+    The bijection is realized arithmetically: decode_path and encode_point
+    run an O(n) descent instead of materializing (n+1)! entries, and
     iter_intervals walks the intervals left to right on demand.
     """
 
@@ -103,14 +102,6 @@ class StackLayout:
     def interval_width(self) -> Fraction:
         return Fraction(1, factorial(self.stage + 1))
 
-    def interval_of(self, p: FinitePath) -> tuple[Fraction, Fraction]:
-        if len(p) != self.stage:
-            raise ValueError(f"path length {len(p)} != stage {self.stage}")
-        return decode_path(p)
-
-    def path_at(self, u) -> FinitePath:
-        return encode_point(u, self.stage)
-
     def iter_intervals(self) -> Iterator[tuple[FinitePath, Fraction, Fraction]]:
         """All (path, lo, hi) triples in left-to-right interval order."""
         den = factorial(self.stage + 1)
@@ -118,10 +109,6 @@ class StackLayout:
         for index, code in enumerate(stage_codes(self.stage), 1):
             lo, hi = hi, Fraction(index, den)
             yield FinitePath._trusted(*code), lo, hi
-
-    def stack_heights(self) -> dict[int, int]:
-        """Number of intervals per terminal column: A(stage, k)."""
-        return {k: eulerian(self.stage, k) for k in range(self.stage + 1)}
 
 
 def build_stage(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StackLayout:

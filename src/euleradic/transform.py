@@ -10,8 +10,6 @@ smaller, via the Eulerian counts of the sources of lower-ranked in-edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MaximalPath, MinimalPath, OrbitOverflow
 from .graph import Vertex, eulerian
 from .paths import FinitePath, max_code, min_code
@@ -138,20 +136,3 @@ def iterate(p: FinitePath, steps: int) -> FinitePath:
     if not 0 <= target < total:
         raise OrbitOverflow(target, total)
     return path_with_rank(v, target)
-
-
-@dataclass(frozen=True)
-class OrbitPosition:
-    """A path together with its rank inside its fiber (tower coordinates)."""
-
-    path: FinitePath
-    rank: int
-
-    @classmethod
-    def of(cls, path: FinitePath) -> "OrbitPosition":
-        return cls(path, orbit_rank(path))
-
-    @property
-    def fiber_size(self) -> int:
-        v = self.path.terminal
-        return eulerian(v.level, v.column)

@@ -25,7 +25,6 @@ from euleradic import (
     Vertex,
     eulerian,
     eulerian_row,
-    in_edge_with_rank,
     in_edges,
     out_edges,
     path_count_between,
@@ -144,8 +143,6 @@ def test_in_edges_order_and_ranks():
             # ranks are 0..len-1 without gaps, and derivable per edge
             assert [e.in_rank for e in edges] == list(range(len(edges)))
             assert all(e.target == v for e in edges)
-            for r, e in enumerate(edges):
-                assert in_edge_with_rank(v, r) == e
 
 
 def test_root_has_no_in_edges():

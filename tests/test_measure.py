@@ -18,6 +18,7 @@ from euleradic import (
     EdgeRef,
     FinitePath,
     InvalidArgument,
+    InvarianceReport,
     Turn,
     Vertex,
     WeightSystem,
@@ -57,7 +58,7 @@ def test_symmetric_weights():
 
 
 def test_weight_must_be_positive():
-    ws = WeightSystem.from_function(lambda e: Fraction(0), label="zero")
+    ws = WeightSystem("zero", lambda e: Fraction(0))
     with pytest.raises(ValueError):
         ws.weight(EdgeRef(Vertex(0, 0), Turn.LEFT, 0))
 
@@ -84,6 +85,7 @@ def test_symmetric_system_passes_conditions():
     assert report.ok
     assert report.violation is None
     assert report.parallel_checked > 0 and report.diamonds_checked > 0
+    assert report == InvarianceReport("symmetric", 50, 2550, 1275, None)
 
 
 def test_parallel_violation_detected():
@@ -92,9 +94,12 @@ def test_parallel_violation_detected():
             return Fraction(1, 7)
         return Fraction(1, e.source.level + 2)
 
-    report = check_invariance_conditions(WeightSystem.from_function(fn, "bent"), 6)
+    report = check_invariance_conditions(WeightSystem("bent", fn), 6)
     assert not report.ok
     assert "parallel" in report.violation
+    # frozen: counts up to and including the failing bundle, and its text
+    assert report == InvarianceReport(
+        "bent", 6, 15, 0, "parallel edges differ in L bundle out of (3,1)")
 
 
 def test_diamond_violation_detected():
@@ -105,9 +110,11 @@ def test_diamond_violation_detected():
             return Fraction(1, 9)
         return Fraction(1, e.source.level + 2)
 
-    report = check_invariance_conditions(WeightSystem.from_function(fn, "dent"), 7)
+    report = check_invariance_conditions(WeightSystem("dent", fn), 7)
     assert not report.ok
     assert "diamond" in report.violation
+    assert report == InvarianceReport(
+        "dent", 7, 56, 12, "diamond law fails at top (4,1): 1/6*1/7 != 1/6*1/9")
 
 
 def test_turn_biased_system_passes_conditions():
@@ -117,7 +124,7 @@ def test_turn_biased_system_passes_conditions():
         scale = Fraction(1, 3) if e.turn is Turn.LEFT else Fraction(5, 3)
         return scale / (e.source.level + 2)
 
-    ws = WeightSystem.from_function(fn, "turn-biased")
+    ws = WeightSystem("turn-biased", fn)
     report = check_invariance_conditions(ws, 30)
     assert report.ok
     # and its cylinder measure is constant on every fiber, so the
@@ -153,7 +160,7 @@ def test_pushforward_detects_perturbation():
             return Fraction(1, 5)
         return Fraction(1, e.source.level + 2)
 
-    report = pushforward_check(4, ws=WeightSystem.from_function(fn, "poked"))
+    report = pushforward_check(4, ws=WeightSystem("poked", fn))
     assert not report.ok
     assert report.mismatches > 0
     assert report.first_mismatch is not None

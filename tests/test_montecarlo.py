@@ -31,13 +31,8 @@ from euleradic import (
     pair_drift_experiment,
     sample_experiment,
     sample_path,
-    sample_path_codes,
     variance_experiment,
 )
-
-# chi-square critical values, dof 23
-_CHI2_23_AT_01 = 41.638
-
 
 # --- rng plumbing ---------------------------------------------------------------
 
@@ -77,6 +72,13 @@ def test_draw_order_is_frozen():
             meeting_experiment(200, 401, cfg),
         "3124194fae38e92afdda0bc83d4b7f5dcfb7f4c898e449da3d1d7c1bcef833ea":
             pair_drift_experiment(30, 20011, cfg),
+        # a full 3000-step orbit, and one exhausted after 291 steps
+        "867f6f233e6fbb0f14bc547d50e75008872b5959b95dc6e512177ada0eab8e0f":
+            birkhoff_experiment(FinitePath.from_text("L0.R0"), 12, mode="orbit_mc",
+                                cfg=cfg, budget=3000),
+        "8ceeef47d80a9a3ea43e5f6646c8f13c12f532c998af55129ef9d06a64fc8ed3":
+            birkhoff_experiment(FinitePath.from_text("L0"), 5, mode="orbit_mc",
+                                cfg=cfg, budget=1000),
     }
     for digest, report in reports.items():
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
@@ -110,19 +112,6 @@ def test_sample_path_shape_and_determinism():
     assert p == q
     assert len(p) == 12
     assert sample_path(0, RngConfig(5).generator(0)) == FinitePath(())
-
-
-def test_sample_path_codes_uniform():
-    # length-3 paths code into [0, 24); with a fixed seed the chi-square
-    # statistic against the uniform law sits below the 1% critical value
-    reps = 1_000_000
-    codes = sample_path_codes(3, reps, RngConfig(2026).generator(0))
-    counts = np.bincount(codes, minlength=24)
-    expected = reps / 24
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    assert chi2 < _CHI2_23_AT_01
-    with pytest.raises(TooLarge):
-        sample_path_codes(1000, 10, RngConfig(1).generator(0))
 
 
 def test_sample_experiment_matches_exact_law():

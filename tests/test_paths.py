@@ -7,7 +7,7 @@ orders each fiber totally and agrees with enumeration order; extremal
 paths have the documented turn shapes.
 """
 
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import product
 
 import pytest
@@ -42,6 +42,25 @@ def _all_paths(n):
 def _cmp(p, q):
     order = vershik_compare(p, q)
     return {Order.LESS: -1, Order.EQUAL: 0, Order.GREATER: 1}[order]
+
+
+@cache
+def _steps(p):
+    return p.steps
+
+
+def _steps_compare(p, q):
+    # oracle: the comparator on (turn, copy) steps and EdgeRef in-ranks
+    sp, sq = _steps(p), _steps(q)
+    if sp == sq:
+        return Order.EQUAL
+    n = len(sp) - 1
+    while sp[n] == sq[n]:
+        n -= 1
+    if p.column_at(n + 1) != q.column_at(n + 1):
+        return Order.INCOMPARABLE
+    rp, rq = p.edge_at(n).in_rank, q.edge_at(n).in_rank
+    return Order.LESS if rp < rq else Order.GREATER
 
 
 # --- construction and text codec ----------------------------------------------
@@ -165,6 +184,18 @@ def test_compare_different_terminals_incomparable():
     b = FinitePath.from_text("R0.R0")
     assert a.terminal != b.terminal
     assert vershik_compare(a, b) is Order.INCOMPARABLE
+
+
+def test_compare_agrees_with_steps_oracle():
+    # every ordered pair of same-length paths up to length 5, into the same
+    # vertex or not: sum of ((n+1)!)^2 = 533417 pairs
+    pairs = 0
+    for n in range(6):
+        paths = _all_paths(n)
+        for p, q in product(paths, repeat=2):
+            assert vershik_compare(p, q) is _steps_compare(p, q), (p, q)
+            pairs += 1
+    assert pairs == 533417
 
 
 def test_compare_agrees_with_enumeration_order():

@@ -20,7 +20,6 @@ from euleradic import (
     build_stage,
     decode_path,
     encode_point,
-    eulerian_row,
     is_maximal,
     is_minimal,
     min_path_to,
@@ -35,17 +34,16 @@ from euleradic import (
 def test_stage_zero():
     layout = build_stage(0)
     assert layout.interval_width == 1
-    assert layout.path_at(Fraction(1, 3)) == FinitePath(())
-    assert layout.interval_of(FinitePath(())) == (Fraction(0), Fraction(1))
+    assert encode_point(Fraction(1, 3), layout.stage) == FinitePath(())
+    assert decode_path(FinitePath(())) == (Fraction(0), Fraction(1))
 
 
 def test_stage_one():
-    layout = build_stage(1)
-    assert layout.interval_of(FinitePath.from_text("L0")) == (
+    assert decode_path(FinitePath.from_text("L0")) == (
         Fraction(0),
         Fraction(1, 2),
     )
-    assert layout.interval_of(FinitePath.from_text("R0")) == (
+    assert decode_path(FinitePath.from_text("R0")) == (
         Fraction(1, 2),
         Fraction(1),
     )
@@ -71,14 +69,6 @@ def test_stages_tile_the_interval():
             count += 1
         assert cursor == 1
         assert count == factorial(n + 1)
-
-
-def test_stack_heights():
-    for n in range(8):
-        layout = build_stage(n)
-        assert layout.stack_heights() == {
-            k: a for k, a in enumerate(eulerian_row(n))
-        }
 
 
 def test_build_stage_cap():
@@ -169,7 +159,7 @@ def test_stage_map_conjugate_to_successor():
                 assert v is None
                 continue
             nxt = successor(path)
-            assert layout.path_at(v) == nxt
+            assert encode_point(v, n) == nxt
             # translation: same offset within the successor interval
             assert v - decode_path(nxt)[0] == u - lo
 

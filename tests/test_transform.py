@@ -13,7 +13,6 @@ from euleradic import (
     MaximalPath,
     MinimalPath,
     OrbitOverflow,
-    OrbitPosition,
     Vertex,
     enumerate_paths_to,
     eulerian,
@@ -156,9 +155,10 @@ def test_iterate_overflow_reports_bounds():
 def test_orbit_position_invariants():
     for v in _vertices(4):
         total = eulerian(v.level, v.column)
-        for path in enumerate_paths_to(v):
-            pos = OrbitPosition.of(path)
-            assert 0 <= pos.rank < total
-            assert pos.fiber_size == total
-            assert (pos.rank == 0) == is_minimal(path)
-            assert (pos.rank == total - 1) == is_maximal(path)
+        fiber = enumerate_paths_to(v)
+        assert len(fiber) == total
+        for path in fiber:
+            rank = orbit_rank(path)
+            assert 0 <= rank < total
+            assert (rank == 0) == is_minimal(path)
+            assert (rank == total - 1) == is_maximal(path)
