@@ -48,6 +48,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _report(rep, out: str | None) -> int:
+    _emit(rep.to_json(), out)
+    return 0 if rep.passed else 1
+
+
 def _emit_series(series, path: str) -> None:
     rows = ["level,value"]
     rows += [f"{lev},{float_text(val)}" for lev, val in series]
@@ -80,7 +85,7 @@ def _cylinder(text: str) -> FinitePath:
 
 
 def _cmd_eulerian(args) -> int:
-    eulerian_row(args.n)  # InvalidArgument for n < 0, where the range is empty
+    require_at_least("level", args.n)
     lines = [",".join(str(a) for a in eulerian_row(n)) for n in range(args.n + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -145,23 +150,18 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rep = sample_experiment(args.level, args.reps, RngConfig(args.seed, args.replicas))
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.passed else 1
+    cfg = RngConfig(args.seed, args.replicas)
+    return _report(sample_experiment(args.level, args.reps, cfg), args.out)
 
 
 def _cmd_variance(args) -> int:
-    rep = variance_experiment(args.level, args.reps, RngConfig(args.seed, args.replicas))
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.passed else 1
+    cfg = RngConfig(args.seed, args.replicas)
+    return _report(variance_experiment(args.level, args.reps, cfg), args.out)
 
 
 def _cmd_chebyshev(args) -> int:
-    rep = chebyshev_experiment(
-        args.level, args.eps, args.reps, RngConfig(args.seed, args.replicas)
-    )
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.passed else 1
+    cfg = RngConfig(args.seed, args.replicas)
+    return _report(chebyshev_experiment(args.level, args.eps, args.reps, cfg), args.out)
 
 
 def _cmd_meeting(args) -> int:
@@ -195,8 +195,7 @@ def _cmd_birkhoff(args) -> int:
         budget=args.budget,
         tolerance=args.tolerance,
     )
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.passed else 1
+    return _report(rep, args.out)
 
 
 def _cmd_stack(args) -> int:
@@ -280,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("birkhoff", _cmd_birkhoff, "cylinder visit frequency")
     p.add_argument("--cylinder", type=_cylinder, required=True, metavar="TEXT")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--column", type=int, default=None)
+    p.add_argument("--column", type=int, help="exact_stack only (default: level // 2)")
     p.add_argument("--mode", choices=["exact_stack", "orbit_mc"],
                    default="exact_stack")
     p.add_argument("--budget", type=int, default=100_000)

@@ -293,7 +293,7 @@ def exact_moments(n_max: int) -> list[MomentRow]:
     The squared-increment column comes from the joint law of (k_{n-1}, k_n)
     under the kernel, not from any closed form.
     """
-    eulerian_row(n_max)  # InvalidArgument for n_max < 0, where the range is empty
+    require_at_least("levels", n_max)
     rows = []
     for n in range(n_max + 1):
         fact = factorial(n + 1)

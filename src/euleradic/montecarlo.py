@@ -29,8 +29,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, MaximalPath, TooLarge, require_at_least
-from .graph import Vertex, eulerian, path_count_between
+from .errors import InvalidArgument, MaximalPath, require_at_least
+from .graph import Vertex, path_count_between
 from .measure import (
     EXACT_TAIL_BUDGET,
     column_distribution,
@@ -39,11 +39,12 @@ from .measure import (
     pair_drift,
 )
 from .paths import FinitePath, path_from_out_indices
-from .rationals import stable_json
+from .rationals import jsonable, stable_json
 from .transform import successor
 
 SCHEMA_REPORT = "euleradic/report/1"
 SCHEMA_MEETING = "euleradic/meeting/1"
+MIN_GAP_GROUP = 100  # pair drift judges only gap groups with this many samples
 
 
 # --- rng plumbing -------------------------------------------------------------
@@ -103,19 +104,7 @@ class StatReport:
     notes: tuple = ()
 
     def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA_REPORT,
-            "experiment": self.experiment,
-            "params": self.params,
-            "rng": self.rng,
-            "estimates": self.estimates,
-            "stderr": self.stderr,
-            "exact": self.exact,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
-        return stable_json(payload)
+        return stable_json({"schema": SCHEMA_REPORT} | jsonable(self))
 
 
 @dataclass
@@ -142,7 +131,6 @@ class MeetingStats:
     meetings_per_pair: np.ndarray = field(repr=False, compare=False)
     sigma_per_pair: np.ndarray = field(repr=False, compare=False)
     first_lag_per_pair: np.ndarray = field(repr=False, compare=False)
-    coincidence_levels: Optional[list] = field(default=None, repr=False, compare=False)
     series: Optional[list] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
@@ -195,8 +183,7 @@ def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...
     tuple of arrays; the i-th arrays of all replicas are concatenated
     along their first axis into the i-th result.
     """
-    if reps < 1:
-        raise InvalidArgument(f"sample count {reps} must be positive")
+    require_at_least("sample count", reps, least=1)
     parts = [run(cfg.generator(i), m) for i, m in enumerate(cfg.split(reps)) if m]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -315,26 +302,22 @@ def meeting_experiment(
     cfg: RngConfig,
     min_meetings: int = 5,
     keep_series: bool = False,
-    keep_levels: bool = False,
 ) -> MeetingStats:
     """Simulate independent path pairs and their column coincidences.
 
     Per pair: sigma is the first level with differing columns, meetings
     are the later levels with equal columns, the first lag is the gap
-    from sigma to the first meeting.  keep_levels materializes per-pair
-    coincidence level lists and is guarded to small problem sizes.
+    from sigma to the first meeting.  keep_series also returns, per level
+    0..n_max, the fraction of pairs whose columns coincide there.
     """
     require_at_least("n_max", n_max)
     require_at_least("min_meetings", min_meetings)
-    if keep_levels and reps * n_max > 10**7:
-        raise TooLarge("per-pair coincidence lists need reps * n_max <= 1e7")
 
     def run(rng, m):
         sigma = np.full(m, -1, dtype=np.int64)
         meet = np.zeros(m, dtype=np.int64)
         lag = np.full(m, -1, dtype=np.int64)
         hits = np.zeros((1, n_max + 1), dtype=np.int64)  # one row per replica
-        eq_block = np.zeros((m, n_max + 1 if keep_levels else 0), dtype=bool)
         for n, ks in enumerate(_walk(n_max, 2 * m, rng)):
             eq = ks[:m] == ks[m:]
             sigma = np.where((sigma < 0) & ~eq, n, sigma)
@@ -343,23 +326,15 @@ def meeting_experiment(
             fresh = meeting & (lag < 0)
             lag = np.where(fresh, n - sigma, lag)
             hits[0, n] = np.count_nonzero(eq)
-            if keep_levels:
-                eq_block[:, n] = eq
-        return meet, sigma, lag, hits, eq_block
+        return meet, sigma, lag, hits
 
-    meet, sigma, lag, hits, eq_all = _replicas(cfg, reps, run)
+    meet, sigma, lag, hits = _replicas(cfg, reps, run)
     diverged = sigma >= 0
     never = int((~diverged).sum())
     # never-diverged pairs count as having no meetings: conservative
     frac = float((meet >= min_meetings).mean())
     lags, counts = np.unique(lag[lag >= 0], return_counts=True)
     hist = [[int(a), int(b)] for a, b in zip(lags, counts)]
-    levels_list = None
-    if keep_levels:
-        levels_list = [
-            [int(x) for x in np.flatnonzero(row) if x > s] if s >= 0 else []
-            for row, s in zip(eq_all, sigma)
-        ]
     series = None
     if keep_series:
         series = [(n, h / reps) for n, h in enumerate(hits.sum(axis=0))]
@@ -377,21 +352,18 @@ def meeting_experiment(
         meetings_per_pair=meet,
         sigma_per_pair=sigma,
         first_lag_per_pair=lag,
-        coincidence_levels=levels_list,
         series=series,
     )
 
 
-def pair_drift_experiment(
-    level: int, reps: int, cfg: RngConfig, min_group: int = 100
-) -> StatReport:
+def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Condition simulated pairs on their gap at one level, step once, and
     compare each group's mean gap change to the exact drift -d/(n+2).
 
-    Only gap groups with at least min_group samples are judged; smaller
-    groups are noise.  The exact reference per group comes from pair_drift
-    and is constant across the pairs in a group because the four-outcome
-    drift depends on the columns only through their gap (for gap > 0).
+    Gap groups with fewer than MIN_GAP_GROUP samples are noise and are not
+    judged.  The exact reference per group comes from pair_drift and is
+    constant across the pairs in a group because the four-outcome drift
+    depends on the columns only through their gap (for gap > 0).
     """
     require_at_least("level", level)
 
@@ -410,7 +382,7 @@ def pair_drift_experiment(
     for d in range(1, int(gap.max()) + 1):
         sel = gap == d
         cnt = int(sel.sum())
-        if cnt < min_group:
+        if cnt < MIN_GAP_GROUP:
             continue
         judged += 1
         mean = float(inc[sel].mean())
@@ -426,12 +398,12 @@ def pair_drift_experiment(
             ok = False
     return StatReport(
         experiment="pair-drift",
-        params={"level": level, "reps": reps, "min_group": min_group},
+        params={"level": level, "reps": reps, "min_group": MIN_GAP_GROUP},
         rng=cfg.describe(),
         estimates=estimates,
         stderr=stderr,
         exact=exact,
-        tolerance=f"5 standard errors on gap groups with >= {min_group} samples",
+        tolerance=f"5 standard errors on gap groups with >= {MIN_GAP_GROUP} samples",
         passed=bool(ok and judged > 0),
         notes=(f"{judged} gap groups judged",),
     )
@@ -451,13 +423,17 @@ def birkhoff_experiment(
     exact_stack: the frequency of the cylinder among the A(N, k) paths
     into (N, k) is path_count_between(terminal, (N, k)) / A(N, k), an
     exact big-integer ratio converging to the cylinder's measure; the
-    report compares it to 1/(len+1)! in relative terms.
+    report compares it to 1/(len+1)! in relative terms.  Both counts are
+    closed forms (A(N, k) counted from the root), so no triangle is built.
 
     orbit_mc: samples one length-N path from cfg's replica 0 and walks its
-    successor orbit for a step budget, counting prefix hits.  Hitting the
-    fiber's maximal path before the budget is reported as an exhausted
-    orbit, not an error.
+    successor orbit for a step budget, counting prefix hits.  The walk
+    stays in the fiber of the sampled path, so this mode takes no column.
+    Hitting the fiber's maximal path before the budget is reported as an
+    exhausted orbit, not an error.
     """
+    if mode == "orbit_mc" and column is not None:
+        raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
     ref = Fraction(1, factorial(len(cylinder) + 1))
     col = big_level // 2 if column is None else column
     if not 0 <= col <= big_level:
@@ -470,7 +446,7 @@ def birkhoff_experiment(
     target = Vertex(big_level, col)
     if mode == "exact_stack":
         tol = 0.02 if tolerance is None else tolerance
-        fiber = eulerian(big_level, col)
+        fiber = path_count_between(Vertex(0, 0), target)
         through = path_count_between(cylinder.terminal, target)
         freq = Fraction(through, fiber)
         rel = abs(freq - ref) / ref

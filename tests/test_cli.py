@@ -233,6 +233,7 @@ def test_usage_errors_exit_2():
     "birkhoff --cylinder L0 --level 5 --mode orbit_mc --budget -5",
     "meeting --nmax 5 --reps 10 --seed 1 --min-meetings -3",
     "birkhoff --cylinder L0 --level 5 --mode orbit_mc --replicas 4",
+    "birkhoff --cylinder L0 --level 12 --mode orbit_mc --column 6",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:

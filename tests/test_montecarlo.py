@@ -16,11 +16,11 @@ from math import factorial
 import numpy as np
 import pytest
 
+from euleradic import graph
 from euleradic import (
     FinitePath,
     InvalidArgument,
     RngConfig,
-    TooLarge,
     Vertex,
     birkhoff_experiment,
     chebyshev_experiment,
@@ -162,26 +162,32 @@ def test_chebyshev_enclosure_branch():
 
 
 def test_meeting_bookkeeping():
-    stats = meeting_experiment(
-        200, 400, RngConfig(31, replicas=2), keep_levels=True, keep_series=True
-    )
-    assert stats.meetings_per_pair.shape == (400,)
-    for meet, sigma, lag, levels in zip(
-        stats.meetings_per_pair,
-        stats.sigma_per_pair,
-        stats.first_lag_per_pair,
-        stats.coincidence_levels,
-    ):
-        if sigma < 0:
-            # never diverged: counted as zero meetings
-            assert meet == 0 and lag < 0 and levels == []
-        else:
-            assert meet == len(levels)
-            assert all(lev > sigma for lev in levels)
-            if levels:
-                assert lag == levels[0] - sigma
-            else:
-                assert lag < 0
+    # replay the README draw contract one path at a time: per replica and
+    # level n, 2m uniforms, path a first; a path at column k turns right
+    # iff u (n+2) >= k+1
+    n_max, reps, cfg = 200, 400, RngConfig(31, replicas=2)
+    stats = meeting_experiment(n_max, reps, cfg, keep_series=True)
+    meet, sigma, lag, hits = [], [], [], [0] * (n_max + 1)
+    for i, m in enumerate(cfg.split(reps)):
+        rng = cfg.generator(i)
+        cols = [[0] for _ in range(2 * m)]
+        for n in range(n_max):
+            for col, u in zip(cols, rng.random(2 * m).tolist()):
+                col.append(col[-1] + (u * (n + 2) >= col[-1] + 1))
+        for a, b in zip(cols[:m], cols[m:]):
+            equal = [n for n in range(n_max + 1) if a[n] == b[n]]
+            for n in equal:
+                hits[n] += 1
+            s = next((n for n in range(n_max + 1) if a[n] != b[n]), -1)
+            # never diverged: no meetings, no lag
+            later = [n for n in equal if 0 <= s < n]
+            sigma.append(s)
+            meet.append(len(later))
+            lag.append(later[0] - s if later else -1)
+    assert stats.meetings_per_pair.tolist() == meet
+    assert stats.sigma_per_pair.tolist() == sigma
+    assert stats.first_lag_per_pair.tolist() == lag
+    assert stats.series == [(n, h / reps) for n, h in enumerate(hits)]
     assert stats.series[0] == (0, 1.0)
 
 
@@ -205,11 +211,6 @@ def test_meeting_json_has_aggregates_only():
         "schema", "params", "rng", "never_diverged", "fraction_with_min",
         "mean_meetings", "median_meetings", "sigma_median", "lag_histogram",
     }
-
-
-def test_meeting_keep_levels_guard():
-    with pytest.raises(TooLarge):
-        meeting_experiment(100_000, 10_000, RngConfig(1), keep_levels=True)
 
 
 # --- drift and birkhoff -----------------------------------------------------------------
@@ -243,6 +244,14 @@ def test_birkhoff_exact_stack_full_length_cylinder():
     assert cyl.terminal == Vertex(3, 1)
     report = birkhoff_experiment(cyl, 3, column=1, tolerance=100.0)
     assert report.exact["frequency"] == Fraction(1, eulerian(3, 1))
+
+
+def test_birkhoff_exact_stack_leaves_the_triangle_alone():
+    # the fiber size comes from the closed form; the shared triangle keeps
+    # every row it builds, so a deep level must not extend it
+    before = graph._TRIANGLE.levels_computed
+    birkhoff_experiment(FinitePath.from_text("L0"), before + 50)
+    assert graph._TRIANGLE.levels_computed == before
 
 
 def test_birkhoff_orbit_mode():
