@@ -19,7 +19,7 @@ from math import factorial
 from pathlib import Path
 
 from .errors import EulerAdicError, InvalidArgument, require_at_least
-from .graph import Vertex, eulerian, eulerian_row
+from .graph import Vertex, eulerian_row
 from .measure import (
     check_invariance_conditions,
     exact_moments,
@@ -35,10 +35,10 @@ from .montecarlo import (
     sample_experiment,
     variance_experiment,
 )
-from .paths import FinitePath, code_is_maximal, code_text, min_path_to
+from .paths import FinitePath, code_is_maximal, code_text
 from .rationals import fraction_to_text, float_text, jsonable, stable_json
 from .stacking import build_stage, stage_codes
-from .transform import rank_code, successor
+from .transform import fiber_codes, rank_code
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -92,16 +92,8 @@ def _cmd_eulerian(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    v = args.vertex
-    total = eulerian(v.level, v.column)
-    if total > args.cap:
-        raise EulerAdicError(f"fiber of {v} has {total} paths, cap is {args.cap}")
-    lines = []
-    p = min_path_to(v)
-    for rank in range(total):
-        lines.append(f"{rank},{p.to_text()}")
-        if rank < total - 1:
-            p = successor(p)
+    codes = fiber_codes(args.vertex, args.cap)
+    lines = [f"{rank},{code_text(*code)}" for rank, code in enumerate(codes)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

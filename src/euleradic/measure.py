@@ -24,23 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import TooLarge, require_at_least
-from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_row
+from .errors import require_at_least
+from .graph import EdgeRef, Turn, Vertex, eulerian_row
 from .paths import (
-    DEFAULT_ENUMERATION_CAP,
     FinitePath,
     code_is_maximal,
     code_is_minimal,
     code_text,
-    min_code,
     step_for_out_index,
 )
-from .transform import predecessor_code, successor_code
+from .transform import fiber_codes, predecessor_code
 
 EXACT_TAIL_BUDGET = 600  # largest level for the all-rational tail DP
 ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the bounds DP
@@ -161,8 +159,8 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     cylinder up to the extremal boundary, so its measure must match the
     predecessor's exactly.  The n+1 minimal and n+1 maximal cylinders are
     the boundary; their counts are reported rather than matched.  Each
-    fiber is walked in Vershik order on digit codes, and each distinct
-    edge is weighed once per call, as an integer numerator and denominator.
+    fiber is walked by transform.fiber_codes, and each distinct edge is
+    weighed once per call, as an integer numerator and denominator.
     """
     require_at_least("pushforward length", n)
     if ws is None:
@@ -187,13 +185,7 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     mismatches = 0
     first: Optional[str] = None
     for k in range(n + 1):
-        total = eulerian(n, k)
-        if total > DEFAULT_ENUMERATION_CAP:
-            raise TooLarge(
-                f"fiber of {Vertex(n, k)} has {total} paths, cap is {DEFAULT_ENUMERATION_CAP}"
-            )
-        code = min_code(n, k)
-        while code is not None:
+        for code in fiber_codes(Vertex(n, k)):
             cylinders += 1
             if code_is_maximal(*code):
                 boundary_max += 1
@@ -208,7 +200,6 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
                     if first is None:
                         first = (f"measure of {code_text(*code)} != predecessor "
                                  f"{code_text(*prev)}")
-            code = successor_code(*code)
     return PushforwardReport(n, cylinders, boundary_min, boundary_max, mismatches, first)
 
 
@@ -341,6 +332,12 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
 # --- tail probabilities ------------------------------------------------------
 
 
+def tail_threshold(n: int, epsilon) -> int:
+    """The least integer t with |2k-n| >= t iff |2k-n| >= epsilon n, capped at
+    n+1; a Python int, so a huge epsilon denominator overflows no int64."""
+    return min(ceil(Fraction(epsilon) * n), n + 1)
+
+
 def column_tail(n: int, epsilon) -> Fraction:
     """Exact P(|2 k_n - n| >= epsilon n) from the Eulerian row.
 
@@ -352,9 +349,8 @@ def column_tail(n: int, epsilon) -> Fraction:
             f"exact tail limited to n <= {EXACT_TAIL_BUDGET}; "
             f"use column_tail_bounds for n = {n}"
         )
-    eps = Fraction(epsilon)
-    row = eulerian_row(n)
-    hits = sum(a for k, a in enumerate(row) if abs(2 * k - n) >= eps * n)
+    t = tail_threshold(n, epsilon)
+    hits = sum(a for k, a in enumerate(eulerian_row(n)) if abs(2 * k - n) >= t)
     return Fraction(hits, factorial(n + 1))
 
 
@@ -389,9 +385,7 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
         scratch[:, 1:w] += moved[:, : w - 1]
         scratch[1, :w] += m + 1
         np.floor_divide(scratch[:, :w], w, out=num[:, :w])
-    eps = Fraction(epsilon)
-    ks = np.arange(n + 1)
-    mask = np.abs(2 * ks - n) * eps.denominator >= eps.numerator * n
+    mask = np.abs(2 * np.arange(n + 1) - n) >= tail_threshold(n, epsilon)
     lo = Fraction(int(num[0, mask].sum()), denom)
     hi = Fraction(int(num[1, mask].sum()), denom)
     return lo, min(hi, Fraction(1))

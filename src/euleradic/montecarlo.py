@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, MaximalPath, require_at_least
+from .errors import InvalidArgument, require_at_least
 from .graph import Vertex, path_count_between
 from .measure import (
     EXACT_TAIL_BUDGET,
@@ -37,10 +37,11 @@ from .measure import (
     column_tail,
     column_tail_bounds,
     pair_drift,
+    tail_threshold,
 )
-from .paths import FinitePath, path_from_out_indices
+from .paths import FinitePath, code_columns, path_from_out_indices
 from .rationals import jsonable, stable_json
-from .transform import successor
+from .transform import orbit_codes
 
 SCHEMA_REPORT = "euleradic/report/1"
 SCHEMA_MEETING = "euleradic/meeting/1"
@@ -269,8 +270,7 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")
     ks = _final_columns(level, reps, cfg)
-    surplus = np.abs(2 * ks - level)
-    hits = int((surplus * eps.denominator >= eps.numerator * level).sum())
+    hits = int((np.abs(2 * ks - level) >= tail_threshold(level, eps)).sum())
     emp = hits / reps
     if level <= EXACT_TAIL_BUDGET:
         lo = hi = column_tail(level, eps)
@@ -427,13 +427,14 @@ def birkhoff_experiment(
     closed forms (A(N, k) counted from the root), so no triangle is built.
 
     orbit_mc: samples one length-N path from cfg's replica 0 and walks its
-    successor orbit for a step budget, counting prefix hits.  The walk
-    stays in the fiber of the sampled path, so this mode takes no column.
-    Hitting the fiber's maximal path before the budget is reported as an
-    exhausted orbit, not an error.
+    successor orbit with transform.orbit_codes for a step budget, counting
+    prefix hits.  The walk stays in the fiber of the sampled path, so this
+    mode takes no column.  Hitting the fiber's maximal path before the
+    budget is reported as an exhausted orbit, not an error.
     """
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
+    require_at_least("level", big_level)
     ref = Fraction(1, factorial(len(cylinder) + 1))
     col = big_level // 2 if column is None else column
     if not 0 <= col <= big_level:
@@ -466,21 +467,15 @@ def birkhoff_experiment(
     if cfg is None:
         raise ValueError("orbit_mc mode needs an RngConfig")
     tol = 0.1 if tolerance is None else tolerance
-    rng = cfg.generator(0)
-    cur = sample_path(big_level, rng)
+    start = sample_path(big_level, cfg.generator(0)).digits
     want = cylinder.digits
-    visits = int(cur.digits[: len(want)] == want)
-    taken = 0
-    notes = []
-    for _ in range(budget):
-        try:
-            cur = successor(cur)
-        except MaximalPath:
-            notes.append(f"orbit exhausted after {taken} steps")
-            break
-        taken += 1
-        visits += cur.digits[: len(want)] == want
-    freq = visits / (taken + 1)
+    count = visits = 0
+    for digits, _ in islice(orbit_codes(start, code_columns(start)), budget + 1):
+        count += 1
+        visits += digits[: len(want)] == want
+    taken = count - 1
+    notes = [f"orbit exhausted after {taken} steps"] if count <= budget else []
+    freq = visits / count
     ok = abs(freq - float(ref)) <= tol
     return StatReport(
         experiment="birkhoff",

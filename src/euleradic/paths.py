@@ -268,15 +268,20 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
     return Order.GREATER
 
 
+def check_fiber_cap(v: Vertex, cap: int) -> None:
+    """Raise TooLarge when more than cap paths end at v."""
+    total = eulerian(v.level, v.column)
+    if total > cap:
+        raise TooLarge(f"fiber of {v} has {total} paths, cap is {cap}")
+
+
 def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[FinitePath]:
     """All paths into v in increasing Vershik order.
 
     The list has eulerian(n, k) entries; a TooLarge error guards against
     fibers beyond the cap.  Order is by final in-rank first, recursively.
     """
-    total = eulerian(v.level, v.column)
-    if total > cap:
-        raise TooLarge(f"fiber of {v} has {total} paths, cap is {cap}")
+    check_fiber_cap(v, cap)
     memo: dict[Vertex, list[tuple]] = {}
 
     def build(w: Vertex) -> list[tuple]:

@@ -6,13 +6,16 @@ path into the new source; edges above stay fixed, so the terminal vertex is
 preserved.  Orbit positions within a fiber are ranked combinatorially:
 rank(p) counts the paths into the same terminal vertex that are strictly
 smaller, via the Eulerian counts of the sources of lower-ranked in-edges.
+Every orbit walk is orbit_codes; fiber_codes starts one at a minimal path.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import MaximalPath, MinimalPath, OrbitOverflow
 from .graph import Vertex, eulerian
-from .paths import FinitePath, max_code, min_code
+from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, check_fiber_cap, max_code, min_code
 
 
 def successor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
@@ -36,6 +39,21 @@ def successor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
             continue
         return head + (j,) + digits[m + 1 :], head_cols + cols[m + 1 :]
     return None
+
+
+def orbit_codes(digits: tuple, cols: tuple) -> Iterator[tuple[tuple, tuple]]:
+    """The code (digits, cols) and each successor, to the fiber's maximal path."""
+    code = (digits, cols)
+    while code is not None:
+        yield code
+        code = successor_code(*code)
+
+
+def fiber_codes(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple]:
+    """Codes of all paths into v in Vershik order.  The size check runs at
+    the call, so TooLarge comes before any code is walked."""
+    check_fiber_cap(v, cap)
+    return orbit_codes(*min_code(v.level, v.column))
 
 
 def predecessor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
@@ -125,14 +143,9 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
 def iterate(p: FinitePath, steps: int) -> FinitePath:
     """Apply the successor map `steps` times (negative for predecessor).
 
-    Raises OrbitOverflow when the target rank leaves [0, A(n,k)-1]; the
-    orbit of a fiber is a finite segment, not a cycle.
+    Raises OrbitOverflow (from path_with_rank) when the target rank leaves
+    [0, A(n,k)-1]; the orbit of a fiber is a finite segment, not a cycle.
     """
     if steps == 0:
         return p
-    v = p.terminal
-    total = eulerian(v.level, v.column)
-    target = orbit_rank(p) + steps
-    if not 0 <= target < total:
-        raise OrbitOverflow(target, total)
-    return path_with_rank(v, target)
+    return path_with_rank(p.terminal, orbit_rank(p) + steps)

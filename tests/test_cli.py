@@ -38,7 +38,10 @@ def test_orbit_cap_gives_operation_error(capsys):
     code, out, err = _run(capsys, "orbit", "--vertex", "30,15")
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
+    assert err == (
+        "error: fiber of (30,15) has 1999411100024544765835750654805760 paths, "
+        "cap is 1000000\n"
+    )
 
 
 def test_invariance(capsys):
@@ -72,9 +75,14 @@ def test_drift_table(capsys):
     assert err == ""
 
 
-# sha256 of stdout, frozen: the exact drift table and exact_stack Birkhoff
-# reports must keep their bytes whatever route computes them
+# sha256 of stdout, frozen: the exact drift table, exact_stack Birkhoff
+# reports, a fiber listing and the pushforward report must keep their bytes
+# whatever route computes them
 _EXACT_GOLDEN = {
+    "orbit --vertex 7,3":
+        "a078ea962cfedaca04add29435d5b5a60f440fdc72da89ed881f5dfe69107ebd",
+    "invariance --levels 30 --pushforward-depth 6":
+        "c5ce4ddaca22afcc709929c4c9e74d2217c4b13b0c13c5a338f9089e51783e50",
     "drift --levels 30":
         "0d851332e4d08b0112194c701dc26dbcbffc883c54c6f292de1e14b58b3663d1",
     "birkhoff --cylinder L0 --level 12":
@@ -186,6 +194,18 @@ def test_birkhoff_modes(capsys):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("level", ["10", "700"])
+def test_chebyshev_tiny_epsilon(capsys, level):
+    # an epsilon denominator beyond int64 must not overflow the tail count
+    eps = f"1/{10**20}"
+    code, out, err = _run(
+        capsys, "chebyshev", "--level", level, "--eps", eps, "--reps", "100", "--seed", "1"
+    )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["params"]["epsilon"] == eps
+
+
 def test_out_flag_writes_same_bytes(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = _run(capsys, "eulerian", "--n", "4")
@@ -244,6 +264,13 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") or "usage:" in captured.err
+
+
+def test_negative_birkhoff_level_is_named(capsys):
+    code, out, err = _run(capsys, "birkhoff", "--cylinder", "L0", "--level", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: level -5 must be at least 0\n"
 
 
 def test_negative_stage_is_a_usage_error(capsys):

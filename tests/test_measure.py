@@ -312,14 +312,16 @@ def test_pair_drift_closed_form():
 def test_tail_exact_routes_agree():
     for n in (10, 50, 300):
         dist = column_distribution(n)
-        for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2)):
+        # 1/10**20: a denominator beyond int64
+        for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2), Fraction(1, 10**20)):
             assert column_tail(n, eps) == dist.tail(eps)
         assert column_tail(n, Fraction(3)) == 0
 
 
 def test_tail_enclosure_brackets_exact():
     for n in (50, 200, 600):
-        for eps in (Fraction(1, 10), Fraction(1, 4)):
+        # 1/10**20: a denominator beyond int64
+        for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 10**20)):
             exact = column_tail(n, eps)
             lo, hi = column_tail_bounds(n, eps)
             assert lo <= exact <= hi

@@ -20,6 +20,7 @@ from euleradic import graph
 from euleradic import (
     FinitePath,
     InvalidArgument,
+    MaximalPath,
     RngConfig,
     Vertex,
     birkhoff_experiment,
@@ -31,6 +32,7 @@ from euleradic import (
     pair_drift_experiment,
     sample_experiment,
     sample_path,
+    successor,
     variance_experiment,
 )
 
@@ -269,6 +271,48 @@ def test_birkhoff_orbit_mode():
         birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="orbit_mc")
     with pytest.raises(ValueError):
         birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="bogus")
+
+
+def _orbit_walk_reference(cylinder, level, cfg, budget):
+    # oracle: step FinitePath objects with successor until the budget or
+    # MaximalPath; returns (frequency, steps taken, notes)
+    cur = sample_path(level, cfg.generator(0))
+    want = cylinder.digits
+    visits = int(cur.digits[: len(want)] == want)
+    taken = 0
+    notes = []
+    for _ in range(budget):
+        try:
+            cur = successor(cur)
+        except MaximalPath:
+            notes.append(f"orbit exhausted after {taken} steps")
+            break
+        taken += 1
+        visits += cur.digits[: len(want)] == want
+    return visits / (taken + 1), taken, notes
+
+
+def test_birkhoff_orbit_walk_matches_successor_loop():
+    cylinders = ["", "L0", "R0", "L0.L0", "L0.R0", "R0.L1", "R0.R0", "L0.R1.L1"]
+    runs = exhausted = 0
+    for level in (3, 5, 8, 12):
+        for text in cylinders:
+            cylinder = FinitePath.from_text(text)
+            if len(cylinder) > level:
+                continue
+            for seed in (1, 7, 2026):
+                cfg = RngConfig(seed)
+                for budget in (0, 1, 7, 300, 3000):
+                    report = birkhoff_experiment(
+                        cylinder, level, mode="orbit_mc", cfg=cfg, budget=budget
+                    )
+                    freq, taken, notes = _orbit_walk_reference(cylinder, level, cfg, budget)
+                    assert report.estimates == {"frequency": freq, "orbit_steps": taken}
+                    assert list(report.notes) == notes
+                    runs += 1
+                    exhausted += bool(notes)
+    # both ends of the walk are exercised: budgets run out and orbits run out
+    assert 0 < exhausted < runs
 
 
 # --- shipped expectations -----------------------------------------------------------------

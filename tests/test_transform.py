@@ -1,7 +1,8 @@
 """Successor-map checks.
 
 Core claims: repeated successor steps from the minimal path visit the
-fiber of its terminal vertex in enumeration order; predecessor inverts
+fiber of its terminal vertex in enumeration order, and so does the code
+walk fiber_codes, under the same size cap; predecessor inverts
 successor; orbit_rank equals the enumeration index and path_with_rank
 inverts it; iterate does exact rank arithmetic and overflows loudly.
 """
@@ -13,6 +14,7 @@ from euleradic import (
     MaximalPath,
     MinimalPath,
     OrbitOverflow,
+    TooLarge,
     Vertex,
     enumerate_paths_to,
     eulerian,
@@ -27,6 +29,7 @@ from euleradic import (
     predecessor,
     successor,
 )
+from euleradic.transform import fiber_codes
 
 
 def _vertices(max_level):
@@ -52,6 +55,28 @@ def test_successor_chain_visits_fiber_in_order():
             path = successor(path)
             seen.append(path)
         assert seen == fiber
+
+
+def test_fiber_codes_match_enumeration():
+    for v in _vertices(7):
+        listed = [
+            (p.digits, tuple(p.column_at(m) for m in range(len(p) + 1)))
+            for p in enumerate_paths_to(v)
+        ]
+        assert list(fiber_codes(v)) == listed
+
+
+def test_fiber_codes_cap_matches_enumeration():
+    v = Vertex(6, 3)
+    total = eulerian(6, 3)
+    # the check is eager: the call raises before any code is drawn
+    with pytest.raises(TooLarge) as walked:
+        fiber_codes(v, total - 1)
+    with pytest.raises(TooLarge) as listed:
+        enumerate_paths_to(v, total - 1)
+    assert str(walked.value) == str(listed.value)
+    assert str(walked.value) == f"fiber of (6,3) has {total} paths, cap is {total - 1}"
+    assert len(list(fiber_codes(v, total))) == len(enumerate_paths_to(v, total))
 
 
 def test_successor_frozen_examples():
