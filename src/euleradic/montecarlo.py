@@ -15,6 +15,9 @@ Under the symmetric measure, every edge out of a level-m vertex is equally
 likely, so a random path is a sequence of independent uniform out-edge
 indices j_m in [0, m+2); the column chain alone suffices for the
 distributional experiments and is simulated without materializing edges.
+One walker steps a replica's paths together, in buffers allocated once
+per walk: a float64 array of k+1 per path, the level's uniforms and a
+right-turn mask.
 """
 
 from __future__ import annotations
@@ -165,16 +168,27 @@ def sample_path(n: int, rng: np.random.Generator) -> FinitePath:
 
 
 def _walk(n: int, width: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Columns of width independent paths at levels 0..n, one uniform each
-    per level: from column k at level m a path turns right iff u (m+2) >= k+1.
+    """Columns plus one, k+1, of width independent paths at levels 0..n,
+    one uniform each per level: from column k at level m a path turns
+    right iff u (m+2) >= k+1.
 
-    Yields one int64 array, stepped in place; a caller keeping a level copies it.
+    Yields one float64 array, stepped in place; a caller keeping a level
+    copies it.  A level step fills three buffers allocated once per walk,
+    so it allocates no array.  Holding k+1 as a float64 is exact while
+    k+1 < 2^53, and it is the value the comparison with the float64
+    product u (m+2) would cast an integer column to, so the draws and
+    every turn are those of the integer rule.
     """
-    ks = np.zeros(width, dtype=np.int64)
-    yield ks
+    u = np.empty(width)
+    c = np.ones(width)
+    right = np.empty(width, dtype=bool)
+    yield c
     for m in range(n):
-        ks += rng.random(width) * (m + 2) >= ks + 1
-        yield ks
+        rng.random(out=u)
+        u *= m + 2
+        np.greater_equal(u, c, out=right)
+        c += right
+        yield c
 
 
 def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...]:
@@ -194,8 +208,8 @@ def _final_columns(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
     require_at_least("level", level)
 
     def run(rng, m):
-        *_, ks = _walk(level, m, rng)
-        return (ks,)
+        *_, c = _walk(level, m, rng)
+        return (c.astype(np.int64) - 1,)
 
     return _replicas(cfg, reps, run)[0]
 
@@ -314,18 +328,29 @@ def meeting_experiment(
     require_at_least("min_meetings", min_meetings)
 
     def run(rng, m):
-        sigma = np.full(m, -1, dtype=np.int64)
+        # per pair: together until the columns first differ, unmet until
+        # the first later level where they agree; counting the levels a
+        # flag holds gives sigma and the first meeting level
+        together = np.ones(m, dtype=bool)
+        unmet = np.ones(m, dtype=bool)
+        eq = np.empty(m, dtype=bool)
+        meeting = np.empty(m, dtype=bool)
+        before_sigma = np.zeros(m, dtype=np.int64)
+        before_meeting = np.zeros(m, dtype=np.int64)
         meet = np.zeros(m, dtype=np.int64)
-        lag = np.full(m, -1, dtype=np.int64)
         hits = np.zeros((1, n_max + 1), dtype=np.int64)  # one row per replica
-        for n, ks in enumerate(_walk(n_max, 2 * m, rng)):
-            eq = ks[:m] == ks[m:]
-            sigma = np.where((sigma < 0) & ~eq, n, sigma)
-            meeting = (sigma >= 0) & eq
-            meet += meeting
-            fresh = meeting & (lag < 0)
-            lag = np.where(fresh, n - sigma, lag)
+        for n, c in enumerate(_walk(n_max, 2 * m, rng)):
+            np.equal(c[:m], c[m:], out=eq)
             hits[0, n] = np.count_nonzero(eq)
+            together &= eq
+            before_sigma += together
+            np.greater(eq, together, out=meeting)  # equal after diverging
+            meet += meeting
+            np.greater(unmet, meeting, out=unmet)
+            before_meeting += unmet
+        diverged = ~together
+        sigma = np.where(diverged, before_sigma, -1)
+        lag = np.where(diverged & ~unmet, before_meeting - before_sigma, -1)
         return meet, sigma, lag, hits
 
     meet, sigma, lag, hits = _replicas(cfg, reps, run)
@@ -369,13 +394,14 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
 
     def run(rng, m):
         walk = _walk(level + 1, 2 * m, rng)
-        ka, kb = np.split(next(islice(walk, level, None)).copy(), 2)
-        after = next(walk)
+        ks = next(islice(walk, level, None)).astype(np.int64)
+        ks -= 1
+        ka, kb = np.split(ks, 2)
+        after = next(walk)  # k+1 as float64; a difference of columns is exact
         return ka, kb, np.abs(after[:m] - after[m:]) - np.abs(ka - kb)
 
     ka, kb, inc = _replicas(cfg, reps, run)
     gap = np.abs(ka - kb)
-    inc = inc.astype(np.float64)
     estimates, stderr, exact = {}, {}, {}
     ok = True
     judged = 0

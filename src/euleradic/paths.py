@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .errors import IndexBeyondPath, LengthMismatch, TooLarge
+from .errors import IndexBeyondPath, LengthMismatch, TooLarge, require_at_least
 from .graph import EdgeRef, Turn, Vertex, eulerian, in_edges
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -269,7 +269,9 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
 
 
 def check_fiber_cap(v: Vertex, cap: int) -> None:
-    """Raise TooLarge when more than cap paths end at v."""
+    """Raise TooLarge when more than cap paths end at v, InvalidArgument
+    when cap is negative."""
+    require_at_least("cap", cap)
     total = eulerian(v.level, v.column)
     if total > cap:
         raise TooLarge(f"fiber of {v} has {total} paths, cap is {cap}")

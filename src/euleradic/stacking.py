@@ -23,7 +23,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import InvalidArgument, TooLarge
+from .errors import InvalidArgument, TooLarge, require_at_least
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, code_columns
 from .transform import successor_code
 
@@ -112,9 +112,10 @@ class StackLayout:
 
 
 def build_stage(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StackLayout:
-    """The stage-n layout; refuses negative stages and stages with more than
-    cap intervals."""
+    """The stage-n layout; refuses negative stages and caps, and stages with
+    more than cap intervals."""
     _check_stage(n)
+    require_at_least("cap", cap)
     if factorial(n + 1) > cap:
         raise TooLarge(f"stage {n} has {factorial(n + 1)} intervals, cap is {cap}")
     return StackLayout(n)

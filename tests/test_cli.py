@@ -44,6 +44,16 @@ def test_orbit_cap_gives_operation_error(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", ["orbit --vertex 2,1", "stack --stage 2"])
+def test_negative_cap_is_a_usage_error(capsys, argv):
+    # a cap of 0 is a cap that no fiber or stage fits (exit 1); a negative
+    # one is a bad count (exit 2), whatever the size it is compared with
+    code, out, err = _run(capsys, *argv.split(), "--cap", "0")
+    assert (code, out) == (1, "")
+    code, out, err = _run(capsys, *argv.split(), "--cap", "-1")
+    assert (code, out, err) == (2, "", "error: cap -1 must be at least 0\n")
+
+
 def test_invariance(capsys):
     code, out, err = _run(
         capsys, "invariance", "--levels", "12", "--pushforward-depth", "4"

@@ -10,7 +10,9 @@ run exactly, which the meeting tests exploit.
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import numpy as np
@@ -35,6 +37,7 @@ from euleradic import (
     successor,
     variance_experiment,
 )
+from euleradic.montecarlo import _walk
 
 # --- rng plumbing ---------------------------------------------------------------
 
@@ -121,6 +124,57 @@ def test_sample_experiment_matches_exact_law():
         report = sample_experiment(level, 100_000, RngConfig(11, replicas=2))
         assert report.passed
         assert report.exact["frequencies"] == list(column_distribution(level).probs)
+
+
+def test_walk_steps_without_width_sized_temporaries():
+    # past level 1 the walk's buffers exist; a level step only refills
+    # them, so 100 more levels raise the traced peak by less than a
+    # quarter of one float64 column (numpy's fixed ufunc cast buffer,
+    # about 64 KB, is the only allocation left)
+    width = 100_000
+    walk = _walk(200, width, RngConfig(3).generator(0))
+    tracemalloc.start()
+    try:
+        next(islice(walk, 1, None))
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in islice(walk, 100):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * width // 4
+
+
+def _replayed_columns(level, reps, cfg):
+    # the README draw contract one path at a time, in plain integers:
+    # per replica and level n, one uniform per path of the replica's
+    # share; a path at column k turns right iff u (n+2) >= k+1
+    ks = []
+    for i, m in enumerate(cfg.split(reps)):
+        rng = cfg.generator(i)
+        cols = [0] * m
+        for n in range(level):
+            cols = [k + (u * (n + 2) >= k + 1) for k, u in zip(cols, rng.random(m).tolist())]
+        ks += cols
+    return ks
+
+
+def test_final_column_experiments_replay_the_integer_rule():
+    cfg = RngConfig(53, replicas=3)
+    reps = 301  # split 101, 100, 100
+    level = 40
+    ks = _replayed_columns(level, reps, cfg)
+    counts = np.bincount(ks, minlength=level + 1)
+    report = sample_experiment(level, reps, cfg)
+    assert report.estimates["frequencies"] == (counts / reps).tolist()
+    u = (2 * np.array(ks) - level).astype(np.float64)
+    report = variance_experiment(level, reps, cfg)
+    assert report.estimates == {"mean": float(u.mean()), "variance": float(u.var(ddof=1))}
+    eps = Fraction(1, 4)
+    hits = sum(abs(2 * k - level) >= eps * level for k in ks)
+    assert 0 < hits < reps
+    assert chebyshev_experiment(level, eps, reps, cfg).estimates["tail"] == hits / reps
 
 
 # --- variance and tails ---------------------------------------------------------------
