@@ -41,9 +41,16 @@ from .stacking import build_stage, stage_codes
 from .transform import fiber_codes, rank_code
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise EulerAdicError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -56,7 +63,7 @@ def _report(rep, out: str | None) -> int:
 def _emit_series(series, path: str) -> None:
     rows = ["level,value"]
     rows += [f"{lev},{float_text(val)}" for lev, val in series]
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_file(path, "\n".join(rows) + "\n")
 
 
 def _vertex(text: str) -> Vertex:

@@ -8,6 +8,10 @@ arbitrary-precision integers via the recursion
 
     A(n+1, k) = (n-k+2) A(n, k-1) + (k+1) A(n, k),   A(0, 0) = 1.
 
+Each row is symmetric, A(n, k) = A(n, n-k), since reversing a permutation
+of 1..n+1 swaps its rises and falls; the memo (EulerianTriangle) keeps
+columns 0..n//2 of each row and reads the others through the mirror.
+
 Incoming edges of a vertex carry a total order (the in-rank): the right-turn
 copies from (n-1, k-1) come first, in copy order, followed by the left-turn
 copies from (n-1, k), in copy order.  This order drives the successor map in
@@ -40,6 +44,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import Callable
 
 from .errors import InvalidArgument, RootHasNoInEdges
 
@@ -146,11 +151,14 @@ def in_edges(v: Vertex) -> list[EdgeRef]:
 
 
 class EulerianTriangle:
-    """Memoized table of the path counts A(n, k).
+    """Memoized table of the path counts A(n, k), one half row per level.
 
-    Rows are appended on demand and never mutated afterwards, so reads of
-    already-computed rows are safe while an extension is in progress; the
-    extension itself is serialized by a lock.
+    Row n is stored as its columns 0..n//2 only (rows are symmetric, see
+    the module docstring); every read goes through lookup, which maps a
+    column past the middle to its mirror.  Rows are appended on demand
+    and never mutated afterwards, so reads of already-computed rows are
+    safe while an extension is in progress; the extension itself is
+    serialized by a lock.
     """
 
     def __init__(self, n_max: int = 0):
@@ -166,24 +174,35 @@ class EulerianTriangle:
             while len(self._rows) <= n:
                 m = len(self._rows) - 1  # last computed level
                 prev = self._rows[m]
-                row = []
-                for k in range(m + 2):
-                    a = prev[k - 1] if 0 <= k - 1 <= m else 0
-                    b = prev[k] if k <= m else 0
-                    row.append((m - k + 2) * a + (k + 1) * b)
+                if m % 2:  # the new middle column reads A(m, (m+1)/2) = A(m, (m-1)/2)
+                    prev = prev + prev[-1:]
+                row = [1]
+                row += [(m - k + 2) * prev[k - 1] + (k + 1) * prev[k]
+                        for k in range(1, (m + 1) // 2 + 1)]
                 self._rows.append(row)
+
+    def lookup(self, n: int) -> Callable[[int, int], int]:
+        """Build rows 0..n and return (m, k) -> A(m, k) for 0 <= k <= m <= n.
+
+        The returned function checks no range; it is for loops over
+        columns that already lie in the triangle.
+        """
+        self.extend_to(n)
+        rows = self._rows
+        return lambda m, k: rows[m][k if 2 * k <= m else m - k]
 
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0 or k > n:
             return 0
-        self.extend_to(n)
-        return self._rows[n][k]
+        return self.lookup(n)(n, k)
 
     def row(self, n: int) -> tuple[int, ...]:
+        """The full row A(n, 0..n); the mirrored half shares the stored ints."""
         if n < 0:
             raise InvalidArgument(f"negative level {n} has no triangle row")
         self.extend_to(n)
-        return tuple(self._rows[n])
+        half = self._rows[n]
+        return (*half, *reversed(half[: (n + 1) // 2]))
 
     @property
     def levels_computed(self) -> int:
@@ -196,6 +215,11 @@ _TRIANGLE = EulerianTriangle()
 def eulerian(n: int, k: int) -> int:
     """A(n, k): the number of root-to-(n, k) edge paths; 0 outside the triangle."""
     return _TRIANGLE.value(n, k)
+
+
+def eulerian_lookup(n: int) -> Callable[[int, int], int]:
+    """(m, k) -> A(m, k) for 0 <= k <= m <= n, unchecked (see EulerianTriangle.lookup)."""
+    return _TRIANGLE.lookup(n)
 
 
 def eulerian_row(n: int) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import require_at_least
+from .errors import TooLarge, require_at_least
 from .graph import EdgeRef, Turn, Vertex, eulerian_row
 from .paths import (
     FinitePath,
@@ -354,6 +354,13 @@ def column_tail(n: int, epsilon) -> Fraction:
     return Fraction(hits, factorial(n + 1))
 
 
+def check_enclosure_level(n: int) -> None:
+    """Raise TooLarge when level n lies above ENCLOSURE_LEVEL_CAP, the
+    largest level column_tail_bounds runs at."""
+    if n > ENCLOSURE_LEVEL_CAP:
+        raise TooLarge(f"level {n} above the enclosure cap {ENCLOSURE_LEVEL_CAP}")
+
+
 def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo <= P(|2 k_n - n| >= epsilon n) <= hi.
 
@@ -364,8 +371,7 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     (n+1)^2 / 2**ENCLOSURE_DENOM_BITS because each level adds at most one
     unit of numerator per entry.
     """
-    if n > ENCLOSURE_LEVEL_CAP:
-        raise ValueError(f"enclosure DP capped at n = {ENCLOSURE_LEVEL_CAP}")
+    check_enclosure_level(n)
     denom = 1 << ENCLOSURE_DENOM_BITS
     # int64 safety: entries stay near denom, coefficients below n+2
     if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:

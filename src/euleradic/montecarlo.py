@@ -36,6 +36,7 @@ from .errors import InvalidArgument, require_at_least
 from .graph import Vertex, path_count_between
 from .measure import (
     EXACT_TAIL_BUDGET,
+    check_enclosure_level,
     column_distribution,
     column_tail,
     column_tail_bounds,
@@ -67,6 +68,9 @@ class RngConfig:
     replicas: int = 1
 
     def __post_init__(self):
+        # numpy's SeedSequence rejects a negative seed, but only once a
+        # generator is drawn
+        require_at_least("seed", self.master_seed)
         if self.replicas < 1:
             raise InvalidArgument("replica count must be positive")
 
@@ -283,6 +287,7 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     require_at_least("level", level, least=1)
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")
+    check_enclosure_level(level)
     ks = _final_columns(level, reps, cfg)
     hits = int((np.abs(2 * ks - level) >= tail_threshold(level, eps)).sum())
     emp = hits / reps

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import MaximalPath, MinimalPath, OrbitOverflow
-from .graph import Vertex, eulerian
+from .graph import Vertex, eulerian_lookup
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, check_fiber_cap, max_code, min_code
 
 
@@ -76,17 +76,18 @@ def predecessor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
 
 def rank_code(digits: tuple, cols: tuple) -> int:
     """Orbit rank of a digit code (see orbit_rank)."""
+    a = eulerian_lookup(len(digits) - 1)
     rank = 0
     for m, j in enumerate(digits):
         k = cols[m]
         # into (m+1, c): right copies from (m, c-1) rank first, then left
         # copies from (m, c)
         if j > k:
-            rank += (j - k - 1) * eulerian(m, k)
+            rank += (j - k - 1) * a(m, k)
         else:
             if k >= 1:
-                rank += (m - k + 2) * eulerian(m, k - 1)
-            rank += j * eulerian(m, k)
+                rank += (m - k + 2) * a(m, k - 1)
+            rank += j * a(m, k)
     return rank
 
 
@@ -118,14 +119,17 @@ def orbit_rank(p: FinitePath) -> int:
 
 def path_with_rank(v: Vertex, rank: int) -> FinitePath:
     """The unique path into v with the given orbit rank (inverse of orbit_rank)."""
-    total = eulerian(v.level, v.column)
+    a = eulerian_lookup(v.level)
+    total = a(v.level, v.column)
     if not 0 <= rank < total:
         raise OrbitOverflow(rank, total)
     digits: list[int] = []
     cols = [v.column]
     m, c, t = v.level, v.column, rank
     while m > 0:
-        right_block = eulerian(m - 1, c - 1) if c >= 1 else 0
+        # a rank below A(m, c) puts the diagonal c = m in the right block,
+        # so the left block reads only columns c <= m-1
+        right_block = a(m - 1, c - 1) if c >= 1 else 0
         right_total = (m - c + 1) * right_block
         if c >= 1 and t < right_total:
             copy, t = divmod(t, right_block)
@@ -133,7 +137,7 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
             c -= 1
         else:
             t -= right_total
-            copy, t = divmod(t, eulerian(m - 1, c))
+            copy, t = divmod(t, a(m - 1, c))
             digits.append(copy)
         m -= 1
         cols.append(c)

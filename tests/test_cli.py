@@ -225,6 +225,22 @@ def test_out_flag_writes_same_bytes(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_unwritable_out_is_an_operation_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = _run(capsys, "eulerian", "--n", "3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_chebyshev_above_enclosure_cap_is_an_operation_error(capsys):
+    code, out, err = _run(capsys, "chebyshev", "--level", "100001", "--eps", "1/10",
+                          "--reps", "1", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: level 100001 above the enclosure cap 100000\n"
+
+
 # --- usage errors -----------------------------------------------------------------
 
 
@@ -264,6 +280,8 @@ def test_usage_errors_exit_2():
     "meeting --nmax 5 --reps 10 --seed 1 --min-meetings -3",
     "birkhoff --cylinder L0 --level 5 --mode orbit_mc --replicas 4",
     "birkhoff --cylinder L0 --level 12 --mode orbit_mc --column 6",
+    "sample --level 5 --reps 10 --seed -1",
+    "birkhoff --cylinder L0 --level 5 --mode orbit_mc --seed -3",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:

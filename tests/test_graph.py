@@ -3,12 +3,14 @@
 Core claims: out-degree n+2 split into k+1 left and n-k+1 right copies;
 in-edges ordered right bundle then left bundle with gapless ranks; the
 triangle values equal brute-force path counts and permutation rise counts;
-row n sums to (n+1)!; path_count_between splits over intermediate levels,
+row n sums to (n+1)!; the half-row memo equals a full-row recursion and
+allocates well under what full rows take; path_count_between splits over intermediate levels,
 equals a level-by-level count on every pair of vertices up to level 14 and
 on sampled pairs up to level 200, and is symmetric under the column mirror.
 """
 
 import threading
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -49,6 +51,15 @@ def _brute_path_counts(n):
 
     walk(0, 0)
     return counts
+
+
+def _full_triangle(n_max):
+    """Rows 0..n_max of the recursion, every column stored."""
+    rows = [[1]]
+    for m in range(n_max):
+        prev = rows[-1] + [0]
+        rows.append([(m - k + 2) * prev[k - 1] + (k + 1) * prev[k] for k in range(m + 2)])
+    return rows
 
 
 def _brute_rise_counts(n):
@@ -192,6 +203,40 @@ def test_eulerian_matches_permutation_rises():
 def test_row_sums_are_factorials():
     for n in range(21):
         assert sum(eulerian_row(n)) == factorial(n + 1)
+
+
+def test_half_row_memo_matches_full_rows():
+    tri = EulerianTriangle()
+    for n, full in enumerate(_full_triangle(200)):
+        assert tri.row(n) == tuple(full)
+        assert [tri.value(n, k) for k in range(n + 1)] == full
+
+
+def test_half_row_memo_middle_columns():
+    # the columns on either side of the mirror, at an odd and an even level
+    root = Vertex(0, 0)
+    tri = EulerianTriangle()
+    for n in (299, 300):
+        for k in range(n // 2 - 1, n // 2 + 3):
+            assert tri.value(n, k) == path_count_between(root, Vertex(n, k))
+            assert tri.row(n)[k] == tri.value(n, k)
+
+
+def _traced_bytes(build):
+    """Bytes still allocated once build() returns, its result alive."""
+    tracemalloc.start()
+    try:
+        kept = build()  # alive until the reading below
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size
+
+
+def test_half_row_memo_allocates_half():
+    half = _traced_bytes(lambda: EulerianTriangle(300))
+    full = _traced_bytes(lambda: _full_triangle(300))
+    assert half <= 0.6 * full
 
 
 def test_triangle_concurrent_extension():

@@ -19,6 +19,7 @@ from euleradic import (
     FinitePath,
     InvalidArgument,
     InvarianceReport,
+    TooLarge,
     Turn,
     Vertex,
     WeightSystem,
@@ -35,6 +36,7 @@ from euleradic import (
     pushforward_check,
     transition_probs,
 )
+from euleradic.measure import ENCLOSURE_LEVEL_CAP
 
 
 def _all_paths(n):
@@ -364,6 +366,11 @@ def test_tail_enclosure_large_level_sane():
     assert hi - lo < Fraction(1, 10**6)
     # the variance bound at this level is already far below one percent
     assert hi < Fraction(5002, 3 * 5000 * 5000) / Fraction(1, 100)
+
+
+def test_enclosure_level_cap_enforced():
+    with pytest.raises(TooLarge):
+        column_tail_bounds(ENCLOSURE_LEVEL_CAP + 1, Fraction(1, 10))
 
 
 def test_exact_tail_budget_enforced():

@@ -18,12 +18,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from euleradic import graph
+from euleradic import graph, montecarlo
 from euleradic import (
     FinitePath,
     InvalidArgument,
     MaximalPath,
     RngConfig,
+    TooLarge,
     Vertex,
     birkhoff_experiment,
     chebyshev_experiment,
@@ -37,6 +38,7 @@ from euleradic import (
     successor,
     variance_experiment,
 )
+from euleradic.measure import ENCLOSURE_LEVEL_CAP
 from euleradic.montecarlo import _walk
 
 # --- rng plumbing ---------------------------------------------------------------
@@ -60,6 +62,9 @@ def test_rng_generator_reproducible():
 def test_rng_validation():
     with pytest.raises(ValueError):
         RngConfig(1, replicas=0)
+    # refused at construction, before numpy's SeedSequence sees the seed
+    with pytest.raises(InvalidArgument):
+        RngConfig(-1)
 
 
 def test_draw_order_is_frozen():
@@ -212,6 +217,15 @@ def test_chebyshev_enclosure_branch():
     assert report.passed
     assert report.exact["kind"] == "certified enclosure"
     assert report.exact["tail_lower"] <= report.exact["tail_upper"]
+
+
+def test_chebyshev_above_enclosure_cap_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew columns for a level it cannot certify")
+
+    monkeypatch.setattr(montecarlo, "_final_columns", no_draws)
+    with pytest.raises(TooLarge):
+        chebyshev_experiment(ENCLOSURE_LEVEL_CAP + 1, Fraction(1, 10), 1, RngConfig(1))
 
 
 # --- meetings ------------------------------------------------------------------------
