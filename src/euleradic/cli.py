@@ -13,6 +13,8 @@ derivation rule).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from fractions import Fraction
 from math import factorial
@@ -48,6 +50,21 @@ def _write_file(path: str, text: str) -> None:
         raise EulerAdicError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise _write_file's error on a path it could not write, before any
+    work runs; the path is neither created nor truncated."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise EulerAdicError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         _write_file(out, text)
@@ -58,12 +75,6 @@ def _emit(text: str, out: str | None) -> None:
 def _report(rep, out: str | None) -> int:
     _emit(rep.to_json(), out)
     return 0 if rep.passed else 1
-
-
-def _emit_series(series, path: str) -> None:
-    rows = ["level,value"]
-    rows += [f"{lev},{float_text(val)}" for lev, val in series]
-    _write_file(path, "\n".join(rows) + "\n")
 
 
 def _vertex(text: str) -> Vertex:
@@ -173,7 +184,8 @@ def _cmd_meeting(args) -> int:
     )
     _emit(stats.to_json(), args.out)
     if args.series:
-        _emit_series(stats.series, args.series)
+        rows = ["level,value"] + [f"{n},{float_text(v)}" for n, v in stats.series]
+        _write_file(args.series, "\n".join(rows) + "\n")
     if args.min_fraction is not None and stats.fraction_with_min < args.min_fraction:
         print(
             f"fraction {stats.fraction_with_min} below {args.min_fraction}",
@@ -295,6 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for path in filter(None, (args.out, getattr(args, "series", None))):
+            _check_writable(path)
         return args.func(args)
     except EulerAdicError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from .paths import (
     code_text,
     step_for_out_index,
 )
-from .transform import fiber_codes, predecessor_code
+from .transform import fiber_codes
 
 EXACT_TAIL_BUDGET = 600  # largest level for the all-rational tail DP
 ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the bounds DP
@@ -158,9 +158,9 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     Every non-minimal cylinder C has T^{-1}C equal to the predecessor
     cylinder up to the extremal boundary, so its measure must match the
     predecessor's exactly.  The n+1 minimal and n+1 maximal cylinders are
-    the boundary; their counts are reported rather than matched.  Each
-    fiber is walked by transform.fiber_codes, and each distinct edge is
-    weighed once per call, as an integer numerator and denominator.
+    the boundary; their counts are reported rather than matched.  A fiber
+    walk (transform.fiber_codes) starts minimal and meets each predecessor
+    just before its cylinder; each distinct edge is weighed once, as integers.
     """
     require_at_least("pushforward length", n)
     if ws is None:
@@ -179,38 +179,40 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
             den *= w[1]
         return num, den
 
-    cylinders = 0
-    boundary_min = 0
-    boundary_max = 0
-    mismatches = 0
+    cylinders = boundary_min = boundary_max = mismatches = 0
     first: Optional[str] = None
     for k in range(n + 1):
         for code in fiber_codes(Vertex(n, k)):
             cylinders += 1
+            p_num, p_den = measure(*code)
             if code_is_maximal(*code):
                 boundary_max += 1
             if code_is_minimal(*code):
                 boundary_min += 1
-            else:
-                prev = predecessor_code(*code)
-                p_num, p_den = measure(*code)
-                q_num, q_den = measure(*prev)
-                if p_num * q_den != q_num * p_den:
-                    mismatches += 1
-                    if first is None:
-                        first = (f"measure of {code_text(*code)} != predecessor "
-                                 f"{code_text(*prev)}")
+            elif p_num * q_den != q_num * p_den:
+                mismatches += 1
+                if first is None:
+                    first = (f"measure of {code_text(*code)} != predecessor "
+                             f"{code_text(*prev)}")
+            prev, q_num, q_den = code, p_num, p_den
     return PushforwardReport(n, cylinders, boundary_min, boundary_max, mismatches, first)
 
 
 # --- the column chain --------------------------------------------------------
 
 
-def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """(P(stay), P(increment)) for the column chain at (n, k)."""
+def _kernel_weights(n: int, k: int) -> tuple[int, int]:
+    """Integer weights (stay k+1, step n-k+1) of the column chain at (n, k),
+    both over the denominator n+2."""
     if not 0 <= k <= n:
         raise ValueError(f"column {k} outside level {n}")
-    return Fraction(k + 1, n + 2), Fraction(n - k + 1, n + 2)
+    return k + 1, n - k + 1
+
+
+def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """(P(stay), P(increment)) for the column chain at (n, k)."""
+    stay, step = _kernel_weights(n, k)
+    return Fraction(stay, n + 2), Fraction(step, n + 2)
 
 
 @dataclass(frozen=True)
@@ -226,12 +228,9 @@ class ColumnDistribution:
 
     def tail(self, epsilon: Fraction) -> Fraction:
         """P(|2 k_n - n| >= epsilon * n), exactly."""
-        n = self.level
-        eps = Fraction(epsilon)
-        return sum(
-            (p for k, p in enumerate(self.probs) if abs(2 * k - n) >= eps * n),
-            Fraction(0),
-        )
+        n, eps = self.level, epsilon_fraction(epsilon)
+        hits = (p for k, p in enumerate(self.probs) if abs(2 * k - n) >= eps * n)
+        return sum(hits, Fraction(0))
 
 
 def column_distribution(n: int) -> ColumnDistribution:
@@ -296,17 +295,16 @@ def exact_moments(n_max: int) -> list[MomentRow]:
         scaled_sq = Fraction((n + 1) ** 2 * s2, fact)
         inc = None
         if n >= 1:
-            prev = eulerian_row(n - 1)
             total = 0
             for k, a in enumerate(prev):
                 s_prev = n * (2 * k - (n - 1))
                 x_stay = (n + 1) * (2 * k - n) - s_prev
                 x_step = (n + 1) * (2 * (k + 1) - n) - s_prev
-                # kernel at level n-1: stay weight k+1, step weight n-k,
-                # denominator n+1; joint denominator is (n+1)!
-                total += a * ((k + 1) * x_stay**2 + (n - k) * x_step**2)
+                stay, step = _kernel_weights(n - 1, k)  # joint denominator (n+1)!
+                total += a * (stay * x_stay**2 + step * x_step**2)
             inc = Fraction(total, fact)
         rows.append(MomentRow(n, mean, var, scaled_sq, inc))
+        prev = row
     return rows
 
 
@@ -318,13 +316,10 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     integer kernel weights, stay k+1 and step n-k+1 per path, and the sum
     is divided once by (n+2)^2.
     """
-    for c in (k, k2):
-        if not 0 <= c <= n:
-            raise ValueError(f"column {c} outside level {n}")
     gap = abs(k - k2)
     total = 0
-    for d1, w1 in ((0, k + 1), (1, n - k + 1)):
-        for d2, w2 in ((0, k2 + 1), (1, n - k2 + 1)):
+    for d1, w1 in enumerate(_kernel_weights(n, k)):
+        for d2, w2 in enumerate(_kernel_weights(n, k2)):
             total += w1 * w2 * (abs(k + d1 - k2 - d2) - gap)
     return Fraction(total, (n + 2) ** 2)
 
@@ -332,10 +327,16 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
 # --- tail probabilities ------------------------------------------------------
 
 
+def epsilon_fraction(epsilon) -> Fraction:
+    """epsilon as an exact Fraction.  A float is read through its shortest
+    decimal repr, so 0.1 means 1/10 and not the binary double nearest it."""
+    return Fraction(str(epsilon) if isinstance(epsilon, float) else epsilon)
+
+
 def tail_threshold(n: int, epsilon) -> int:
     """The least integer t with |2k-n| >= t iff |2k-n| >= epsilon n, capped at
     n+1; a Python int, so a huge epsilon denominator overflows no int64."""
-    return min(ceil(Fraction(epsilon) * n), n + 1)
+    return min(ceil(epsilon_fraction(epsilon) * n), n + 1)
 
 
 def column_tail(n: int, epsilon) -> Fraction:
@@ -383,7 +384,7 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     scratch = np.empty_like(num)
     moved = np.empty_like(num)
     stay_weight = np.arange(1, n + 2, dtype=np.int64)  # k+1 at column k
-    step_weight = np.arange(n + 1, 0, -1, dtype=np.int64)  # m+2-k at level m
+    step_weight = np.arange(n + 1, 0, -1, dtype=np.int64)  # step_weight[n-m+k] = m+1-k
     for m in range(n):
         w = m + 2
         np.multiply(num[:, :w], stay_weight[:w], out=scratch[:, :w])

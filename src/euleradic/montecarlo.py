@@ -40,6 +40,7 @@ from .measure import (
     column_distribution,
     column_tail,
     column_tail_bounds,
+    epsilon_fraction,
     pair_drift,
     tail_threshold,
 )
@@ -283,7 +284,7 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     bound) to sit below the bound and the empirical tail to agree with
     the exact value within 5 standard errors plus the enclosure width.
     """
-    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+    eps = epsilon_fraction(epsilon)
     require_at_least("level", level, least=1)
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")

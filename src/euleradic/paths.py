@@ -13,12 +13,16 @@ otherwise the paths are incomparable.  A path is maximal (minimal) when
 every edge has the greatest (least) in-rank among the edges into its
 target.  Note the all-left and all-right paths are both maximal and
 minimal: their vertices have a single incoming edge.
+
+The order is stated once, on its least side (min_code; successor_code in
+transform); mirror_code, which reverses it, gives the greatest side.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import sub
 
 from .errors import IndexBeyondPath, LengthMismatch, TooLarge, require_at_least
 from .graph import EdgeRef, Turn, Vertex, eulerian, in_edges
@@ -36,15 +40,8 @@ class Order(Enum):
 
 
 class FinitePath:
-    """An edge path from the root, stored as its digit code.
-
-    Digit j_m in [0, m+2) is the index of the edge taken out of level m in
-    the canonical out-edge order (left copies 0..k first, then right
-    copies); read as a mixed-radix number, the digits are the path's
-    left-to-right interval index in the stacking layout.  The column
-    sequence k_0..k_n is kept beside the digits, and the (turn, copy)
-    steps are derived from both.
-    """
+    """An edge path from the root, stored as its digit code (see the module
+    docstring) with its column sequence k_0..k_n beside it."""
 
     __slots__ = ("_digits", "_cols")
 
@@ -208,10 +205,13 @@ def min_code(n: int, k: int) -> tuple[tuple, tuple]:
     return (0,) * (n - k) + climb, (0,) * (n - k + 1) + climb
 
 
-def max_code(n: int, k: int) -> tuple[tuple, tuple]:
-    """(digits, columns) of the maximal path into (n, k): right copy 0 up
-    to (k, k), then left turns taking the top copy k at every level."""
-    return tuple(range(1, k + 1)) + (k,) * (n - k), tuple(range(k + 1)) + (k,) * (n - k)
+def mirror_code(digits, cols) -> tuple[tuple, tuple]:
+    """The mirror c -> level - c: at level m, digit j becomes m+1-j and column
+    k becomes m-k.  Copy i of a bundle becomes copy size-1-i of its mirror, and
+    the right block into a vertex ranks first, so in-rank r into level m+1
+    becomes m+2-r: an involution reversing fiber (n, k) onto (n, n-k)."""
+    n = len(digits)
+    return tuple(map(sub, range(1, n + 1), digits)), tuple(map(sub, range(n + 1), cols))
 
 
 # --- extremal paths ---------------------------------------------------------
@@ -233,25 +233,19 @@ def min_path_to(v: Vertex) -> FinitePath:
 
 
 def max_path_to(v: Vertex) -> FinitePath:
-    """The unique maximal path into v (see max_code)."""
-    return FinitePath._trusted(*max_code(v.level, v.column))
+    """The unique maximal path into v, the mirror of min_path_to((n, n-k))."""
+    return FinitePath._trusted(*mirror_code(*min_code(v.level, v.level - v.column)))
 
 
 # --- order ------------------------------------------------------------------
-
-
-def _in_rank(m: int, k: int, j: int) -> int:
-    """EdgeRef.in_rank of out-edge j of the vertex (m, k)."""
-    if j > k:
-        return j - k - 1
-    return j + (m - k + 2 if k else 0)
 
 
 def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
     """Order of two same-length paths at the largest disagreement index.
 
     An edge is a digit together with its source column: equal digits out
-    of different columns are different edges.
+    of different columns are different edges.  Both enter one vertex: the
+    lower column (the right block) ranks first, then the lower digit.
     """
     if len(p) != len(q):
         raise LengthMismatch(f"lengths {len(p)} and {len(q)} differ")
@@ -263,9 +257,7 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
     n = len(pd) - 1
     while pd[n] == qd[n] and pc[n] == qc[n]:
         n -= 1
-    if _in_rank(n, pc[n], pd[n]) < _in_rank(n, qc[n], qd[n]):
-        return Order.LESS
-    return Order.GREATER
+    return Order.LESS if (pc[n], pd[n]) < (qc[n], qd[n]) else Order.GREATER
 
 
 def check_fiber_cap(v: Vertex, cap: int) -> None:

@@ -7,6 +7,8 @@ preserved.  Orbit positions within a fiber are ranked combinatorially:
 rank(p) counts the paths into the same terminal vertex that are strictly
 smaller, via the Eulerian counts of the sources of lower-ranked in-edges.
 Every orbit walk is orbit_codes; fiber_codes starts one at a minimal path.
+The graph's mirror (paths.mirror_code) reverses the in-edge order into
+every vertex, so T^-1 = mirror . T . mirror gives the predecessor.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Iterator
 
 from .errors import MaximalPath, MinimalPath, OrbitOverflow
 from .graph import Vertex, eulerian_lookup
-from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, check_fiber_cap, max_code, min_code
+from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, check_fiber_cap, min_code,
+                    mirror_code)
 
 
 def successor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
@@ -58,20 +61,9 @@ def fiber_codes(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple
 
 def predecessor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
     """(digits, columns) of the predecessor, or None on a minimal path: the
-    first edge that is not the least into its target moves to the previous
-    in-rank, and the path below it restarts maximal into the new source."""
-    for m, j in enumerate(digits):
-        k = cols[m]
-        if 0 < j <= k or j > k + 1:
-            head, head_cols = max_code(m, k)
-            j -= 1
-        elif j == 0 and k > 0:
-            head, head_cols = max_code(m, k - 1)
-            j = m + 1
-        else:
-            continue
-        return head + (j,) + digits[m + 1 :], head_cols + cols[m + 1 :]
-    return None
+    mirror of the successor of the mirror image."""
+    code = successor_code(*mirror_code(digits, cols))
+    return None if code is None else mirror_code(*code)
 
 
 def rank_code(digits: tuple, cols: tuple) -> int:
@@ -100,8 +92,7 @@ def successor(p: FinitePath) -> FinitePath:
 
 
 def predecessor(p: FinitePath) -> FinitePath:
-    """The inverse of successor: bump the first non-minimal edge down and
-    put the maximal path below the new source."""
+    """The previous path into the same terminal vertex in Vershik order."""
     code = predecessor_code(p._digits, p._cols)
     if code is None:
         raise MinimalPath(f"no predecessor: {p.to_text()!r} is minimal")

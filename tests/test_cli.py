@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from euleradic import cli
 from euleradic.cli import main
 
 
@@ -231,6 +232,46 @@ def test_unwritable_out_is_an_operation_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command ran before its output paths were checked")
+
+
+def test_unwritable_out_fails_before_computing(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "eulerian_row", _must_not_run)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, "eulerian", "--n", "400", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_unwritable_series_leaves_no_report(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "meeting_experiment", _must_not_run)
+    report = tmp_path / "m.json"
+    series = tmp_path / "missing" / "s.csv"
+    code, out, err = _run(capsys, "meeting", "--nmax", "30", "--reps", "20",
+                          "--seed", "1", "--out", str(report), "--series", str(series))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {series}: No such file or directory\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("make", ["dir", "file"])
+def test_output_check_touches_no_file(capsys, tmp_path, make):
+    # an existing file keeps its bytes until the command writes it, and a
+    # directory or a path under a file is refused with write_text's reason
+    existing = tmp_path / "keep.txt"
+    existing.write_text("old")
+    if make == "dir":
+        bad, reason = tmp_path, "Is a directory"
+    else:
+        bad, reason = existing / "x.csv", "Not a directory"
+    code, out, err = _run(capsys, "meeting", "--nmax", "30", "--reps", "20",
+                          "--seed", "1", "--out", str(existing), "--series", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {bad}: {reason}\n"
+    assert existing.read_text() == "old"
 
 
 def test_chebyshev_above_enclosure_cap_is_an_operation_error(capsys):

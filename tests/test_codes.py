@@ -4,13 +4,16 @@ Core claims: a path's per-level out-edge digits j_m in [0, m+2) round-trip
 through FinitePath, its steps and its text; path_with_rank inverts
 orbit_rank; successor and predecessor are mutual inverses and move the
 orbit rank by exactly one; encode_point and
-decode_path invert each other; and at every interval of stages 1..6 the
+decode_path invert each other; at every interval of stages 1..6 the
 stage map carries the r-th path of each fiber onto the (r+1)-th, with the
-fiber order taken from the recursive in-edge enumeration.
+fiber order taken from the recursive in-edge enumeration; and the mirror
+c -> level - c is an involution that reverses every fiber's order, so it
+conjugates successor to predecessor.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -28,6 +31,7 @@ from euleradic import (
     decode_path,
     encode_point,
     enumerate_paths_to,
+    eulerian,
     is_maximal,
     is_minimal,
     orbit_rank,
@@ -37,6 +41,9 @@ from euleradic import (
     stage_map,
     successor,
 )
+from euleradic.paths import code_columns, code_is_maximal, code_is_minimal, mirror_code
+from euleradic.stacking import code_index
+from euleradic.transform import predecessor_code, rank_code, successor_code
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -146,3 +153,29 @@ def test_negative_stage_rejected():
             build_stage(n)
         with pytest.raises(InvalidArgument):
             encode_point(Fraction(1, 2), n)
+
+
+def test_mirror_reverses_every_fiber():
+    # every code of length <= 6 (5913 codes), built digit by digit
+    codes = 0
+    for n in range(7):
+        for digits in product(*(range(m + 2) for m in range(n))):
+            code = (digits, code_columns(digits))
+            k = code[1][-1]
+            mirrored = mirror_code(*code)
+            codes += 1
+            assert mirror_code(*mirrored) == code
+            assert code_columns(mirrored[0]) == mirrored[1]
+            assert mirrored[1][-1] == n - k
+            assert rank_code(*mirrored) == eulerian(n, k) - 1 - rank_code(*code)
+            assert code_index(mirrored[0]) == factorial(n + 1) - 1 - code_index(digits)
+            assert code_is_maximal(*mirrored) == code_is_minimal(*code)
+            after = successor_code(*mirrored)
+            before = predecessor_code(*code)
+            assert before == (None if after is None else mirror_code(*after))
+            if before is None:
+                assert rank_code(*code) == 0
+            else:
+                assert rank_code(*before) == rank_code(*code) - 1
+                assert successor_code(*before) == code
+    assert codes == sum(factorial(n + 1) for n in range(7))

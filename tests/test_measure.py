@@ -19,6 +19,7 @@ from euleradic import (
     FinitePath,
     InvalidArgument,
     InvarianceReport,
+    PushforwardReport,
     TooLarge,
     Turn,
     Vertex,
@@ -164,8 +165,9 @@ def test_pushforward_detects_perturbation():
 
     report = pushforward_check(4, ws=WeightSystem("poked", fn))
     assert not report.ok
-    assert report.mismatches > 0
-    assert report.first_mismatch is not None
+    assert report == PushforwardReport(
+        4, 120, 5, 5, 9, "measure of L0.R0.L1.L0 != predecessor R0.L1.L0.L0"
+    )
 
 
 # --- column chain ------------------------------------------------------------------
@@ -318,6 +320,16 @@ def test_tail_exact_routes_agree():
         for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2), Fraction(1, 10**20)):
             assert column_tail(n, eps) == dist.tail(eps)
         assert column_tail(n, Fraction(3)) == 0
+
+
+@pytest.mark.parametrize("n, eps", [(20, 0.1), (30, 0.2), (10, 0.2)])
+def test_float_epsilon_reads_as_its_decimal(n, eps):
+    # 0.1 is 1/10 on every tail route, as in chebyshev_experiment, not the
+    # binary double just above 1/10
+    exact = Fraction(str(eps))
+    assert column_tail(n, eps) == column_tail(n, exact)
+    assert column_tail_bounds(n, eps) == column_tail_bounds(n, exact)
+    assert column_distribution(n).tail(eps) == column_distribution(n).tail(exact)
 
 
 def test_tail_enclosure_brackets_exact():
