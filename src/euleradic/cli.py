@@ -37,7 +37,7 @@ from .montecarlo import (
     sample_experiment,
     variance_experiment,
 )
-from .paths import FinitePath, code_is_maximal, code_text
+from .paths import FinitePath, code_columns, code_is_maximal, code_text
 from .rationals import fraction_to_text, float_text, jsonable, stable_json
 from .stacking import build_stage, stage_codes
 from .transform import fiber_codes, rank_code
@@ -111,7 +111,7 @@ def _cmd_eulerian(args) -> int:
 
 def _cmd_orbit(args) -> int:
     codes = fiber_codes(args.vertex, args.cap)
-    lines = [f"{rank},{code_text(*code)}" for rank, code in enumerate(codes)]
+    lines = [f"{rank},{code_text(code)}" for rank, code in enumerate(codes)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -217,8 +217,8 @@ def _cmd_stack(args) -> int:
     for index, code in enumerate(stage_codes(n), 1):
         lo, hi = hi, fraction_to_text(Fraction(index, den))
         rows.append(
-            f"{code_text(*code)},{n},{code[1][-1]},{lo},{hi},"
-            f"{rank_code(*code)},{int(code_is_maximal(*code))}"
+            f"{code_text(code)},{n},{code_columns(code)[-1]},{lo},{hi},"
+            f"{rank_code(code)},{int(code_is_maximal(code))}"
         )
     _emit("\n".join(rows) + "\n", args.out)
     return 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, comb, factorial
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,16 +167,17 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
         ws = WeightSystem.symmetric()
     weights: dict[tuple[int, int, int], tuple[int, int]] = {}
 
-    def measure(digits, cols) -> tuple[int, int]:
+    def measure(digits) -> tuple[int, int]:
         num = den = 1
+        k = 0
         for m, j in enumerate(digits):
-            k = cols[m]
             w = weights.get((m, k, j))
             if w is None:
                 f = ws.weight(EdgeRef(Vertex(m, k), *step_for_out_index(k, j)))
                 w = weights[m, k, j] = (f.numerator, f.denominator)
             num *= w[0]
             den *= w[1]
+            k += j > k
         return num, den
 
     cylinders = boundary_min = boundary_max = mismatches = 0
@@ -184,16 +185,16 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     for k in range(n + 1):
         for code in fiber_codes(Vertex(n, k)):
             cylinders += 1
-            p_num, p_den = measure(*code)
-            if code_is_maximal(*code):
+            p_num, p_den = measure(code)
+            if code_is_maximal(code):
                 boundary_max += 1
-            if code_is_minimal(*code):
+            if code_is_minimal(code):
                 boundary_min += 1
             elif p_num * q_den != q_num * p_den:
                 mismatches += 1
                 if first is None:
-                    first = (f"measure of {code_text(*code)} != predecessor "
-                             f"{code_text(*prev)}")
+                    first = (f"measure of {code_text(code)} != predecessor "
+                             f"{code_text(prev)}")
             prev, q_num, q_den = code, p_num, p_den
     return PushforwardReport(n, cylinders, boundary_min, boundary_max, mismatches, first)
 
@@ -340,10 +341,11 @@ def tail_threshold(n: int, epsilon) -> int:
 
 
 def column_tail(n: int, epsilon) -> Fraction:
-    """Exact P(|2 k_n - n| >= epsilon n) from the Eulerian row.
+    """Exact P(|2 k_n - n| >= epsilon n), without the Eulerian row.
 
-    Only for n within EXACT_TAIL_BUDGET; the row sums are integers, so one
-    division at the end keeps this cheap.
+    For t >= 1 the tail is two mirror halves, each the share of permutations
+    of n+1 with at most x = (n-t)//2 descents: the Irwin-Hall law at x+1, an
+    alternating sum of x+1 integer powers.  Only for n <= EXACT_TAIL_BUDGET.
     """
     if n > EXACT_TAIL_BUDGET:
         raise ValueError(
@@ -351,8 +353,11 @@ def column_tail(n: int, epsilon) -> Fraction:
             f"use column_tail_bounds for n = {n}"
         )
     t = tail_threshold(n, epsilon)
-    hits = sum(a for k, a in enumerate(eulerian_row(n)) if abs(2 * k - n) >= t)
-    return Fraction(hits, factorial(n + 1))
+    if t == 0:
+        return Fraction(1)
+    x = (n - t) // 2
+    half = sum((-1) ** i * comb(n + 1, i) * (x + 1 - i) ** (n + 1) for i in range(x + 1))
+    return Fraction(2 * half, factorial(n + 1))
 
 
 def check_enclosure_level(n: int) -> None:

@@ -44,7 +44,7 @@ from .measure import (
     pair_drift,
     tail_threshold,
 )
-from .paths import FinitePath, code_columns, path_from_out_indices
+from .paths import FinitePath, path_from_out_indices
 from .rationals import jsonable, stable_json
 from .transform import orbit_codes
 
@@ -502,7 +502,7 @@ def birkhoff_experiment(
     start = sample_path(big_level, cfg.generator(0)).digits
     want = cylinder.digits
     count = visits = 0
-    for digits, _ in islice(orbit_codes(start, code_columns(start)), budget + 1):
+    for digits in islice(orbit_codes(start), budget + 1):
         count += 1
         visits += digits[: len(want)] == want
     taken = count - 1

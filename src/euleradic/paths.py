@@ -3,9 +3,10 @@
 A path of length n starts at the root (0,0) and takes one edge per level.
 Inside the package it is its digit code: the out-edge index j_m in [0, m+2)
 taken at each level m, whose mixed-radix value is the path's interval index
-in the stacking layout.  The column sequence k_0..k_n follows from the
-digits, and the (turn, copy) steps from both: a left turn keeps the column,
-a right turn increments it.  FinitePath wraps the code at the public API.
+in the stacking layout.  The code is the digits alone: the columns k_0..k_n
+follow from them (a digit above the current column is a right turn, which
+increments it), and code functions count them as they scan.  FinitePath
+wraps the code at the public API and keeps the columns beside it.
 
 Two same-length paths are compared at their largest index of disagreement.
 If the edges there enter the same vertex, the in-rank order decides;
@@ -25,7 +26,7 @@ from enum import Enum
 from operator import sub
 
 from .errors import IndexBeyondPath, LengthMismatch, TooLarge, require_at_least
-from .graph import EdgeRef, Turn, Vertex, eulerian, in_edges
+from .graph import EdgeRef, Turn, Vertex, in_edges, path_count_between
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -41,13 +42,12 @@ class Order(Enum):
 
 class FinitePath:
     """An edge path from the root, stored as its digit code (see the module
-    docstring) with its column sequence k_0..k_n beside it."""
+    docstring) with its column sequence k_0..k_n derived once beside it."""
 
     __slots__ = ("_digits", "_cols")
 
     def __init__(self, steps=()):
         digits = []
-        cols = [0]
         k = 0
         for i, (turn, copy) in enumerate(steps):
             if not isinstance(turn, Turn):
@@ -63,16 +63,15 @@ class FinitePath:
                 k += 1
             else:
                 digits.append(copy)
-            cols.append(k)
         self._digits = tuple(digits)
-        self._cols = tuple(cols)
+        self._cols = code_columns(self._digits)
 
     @classmethod
-    def _trusted(cls, digits: tuple, cols: tuple) -> "FinitePath":
-        """Wrap a digit code and its columns that are already known valid."""
+    def _trusted(cls, digits: tuple) -> "FinitePath":
+        """Wrap a digit code that is already known valid."""
         p = cls.__new__(cls)
         p._digits = digits
-        p._cols = cols
+        p._cols = code_columns(digits)
         return p
 
     @property
@@ -115,14 +114,14 @@ class FinitePath:
     def prefix(self, m: int) -> "FinitePath":
         if not 0 <= m <= len(self._digits):
             raise IndexBeyondPath(f"level {m} outside path of length {len(self)}")
-        return FinitePath._trusted(self._digits[:m], self._cols[: m + 1])
+        return FinitePath._trusted(self._digits[:m])
 
     def extended(self, turn: Turn, copy: int) -> "FinitePath":
         return FinitePath(self.steps + ((turn, copy),))
 
     def to_text(self) -> str:
         """Canonical encoding: "R0.L1.R1"; the empty path encodes as ""."""
-        return code_text(self._digits, self._cols)
+        return code_text(self._digits)
 
     @classmethod
     def from_text(cls, text: str) -> "FinitePath":
@@ -158,7 +157,7 @@ def path_from_out_indices(indices) -> FinitePath:
     for m, j in enumerate(digits):
         if not 0 <= j < m + 2:
             raise ValueError(f"level {m}: out-edge index {j} outside [0, {m + 2})")
-    return FinitePath._trusted(digits, code_columns(digits))
+    return FinitePath._trusted(digits)
 
 
 def code_columns(digits) -> tuple[int, ...]:
@@ -173,45 +172,45 @@ def code_columns(digits) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def code_text(digits, cols) -> str:
-    return ".".join(
-        f"L{j}" if j <= k else f"R{j - k - 1}" for j, k in zip(digits, cols)
-    )
+def code_text(digits) -> str:
+    cols = code_columns(digits)
+    return ".".join(f"L{j}" if j <= k else f"R{j - k - 1}" for j, k in zip(digits, cols))
 
 
-def code_is_maximal(digits, cols) -> bool:
+def code_is_maximal(digits) -> bool:
     """Every edge is the greatest into its target: the top left copy k, or
     the single right edge onto the diagonal."""
+    k = 0
     for m, j in enumerate(digits):
-        k = cols[m]
         if j != k and not (k == m and j == m + 1):
             return False
+        k = j
     return True
 
 
-def code_is_minimal(digits, cols) -> bool:
+def code_is_minimal(digits) -> bool:
     """Every edge is the least into its target: right copy 0, or the single
     left edge into column 0."""
-    for j, k in zip(digits, cols):
-        if j != k + 1 and j + k != 0:
+    k = 0
+    for j in digits:
+        if j != k + 1 and (j or k):
             return False
+        k = j
     return True
 
 
-def min_code(n: int, k: int) -> tuple[tuple, tuple]:
-    """(digits, columns) of the minimal path into (n, k): left copy 0 down
-    to (n-k, 0), then right copy 0 along the diagonal climb."""
-    climb = tuple(range(1, k + 1))
-    return (0,) * (n - k) + climb, (0,) * (n - k + 1) + climb
+def min_code(n: int, k: int) -> tuple:
+    """Digits of the minimal path into (n, k): left copy 0 down to (n-k, 0),
+    then right copy 0 along the diagonal climb."""
+    return (0,) * (n - k) + tuple(range(1, k + 1))
 
 
-def mirror_code(digits, cols) -> tuple[tuple, tuple]:
-    """The mirror c -> level - c: at level m, digit j becomes m+1-j and column
+def mirror_code(digits) -> tuple:
+    """The mirror c -> level - c: at level m, digit j becomes m+1-j, so column
     k becomes m-k.  Copy i of a bundle becomes copy size-1-i of its mirror, and
     the right block into a vertex ranks first, so in-rank r into level m+1
     becomes m+2-r: an involution reversing fiber (n, k) onto (n, n-k)."""
-    n = len(digits)
-    return tuple(map(sub, range(1, n + 1), digits)), tuple(map(sub, range(n + 1), cols))
+    return tuple(map(sub, range(1, len(digits) + 1), digits))
 
 
 # --- extremal paths ---------------------------------------------------------
@@ -219,22 +218,22 @@ def mirror_code(digits, cols) -> tuple[tuple, tuple]:
 
 def is_maximal(p: FinitePath) -> bool:
     """True iff every edge has the greatest in-rank into its target."""
-    return code_is_maximal(p._digits, p._cols)
+    return code_is_maximal(p._digits)
 
 
 def is_minimal(p: FinitePath) -> bool:
     """True iff every edge has the least in-rank into its target."""
-    return code_is_minimal(p._digits, p._cols)
+    return code_is_minimal(p._digits)
 
 
 def min_path_to(v: Vertex) -> FinitePath:
     """The unique minimal path into v (see min_code)."""
-    return FinitePath._trusted(*min_code(v.level, v.column))
+    return FinitePath._trusted(min_code(v.level, v.column))
 
 
 def max_path_to(v: Vertex) -> FinitePath:
     """The unique maximal path into v, the mirror of min_path_to((n, n-k))."""
-    return FinitePath._trusted(*mirror_code(*min_code(v.level, v.level - v.column)))
+    return FinitePath._trusted(mirror_code(min_code(v.level, v.level - v.column)))
 
 
 # --- order ------------------------------------------------------------------
@@ -261,10 +260,10 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
 
 
 def check_fiber_cap(v: Vertex, cap: int) -> None:
-    """Raise TooLarge when more than cap paths end at v, InvalidArgument
-    when cap is negative."""
+    """Raise TooLarge when more than cap paths end at v (a closed form that
+    builds no triangle rows), InvalidArgument when cap is negative."""
     require_at_least("cap", cap)
-    total = eulerian(v.level, v.column)
+    total = path_count_between(Vertex(0, 0), v)
     if total > cap:
         raise TooLarge(f"fiber of {v} has {total} paths, cap is {cap}")
 

@@ -12,7 +12,8 @@ The stage-n interval map translates each interval onto the interval of the
 successor path, and is undefined on the n+1 intervals of maximal paths (the
 stack tops).  Endpoints are exact rationals; internally the descent runs on
 integer numerators over (n+1)!: a path's digit code (see the paths
-module) read in mixed radix is the index of its interval.
+module) read in mixed radix is the index of its interval; no column is
+needed to place a path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import factorial
 from typing import Iterator, Optional
 
 from .errors import InvalidArgument, TooLarge, require_at_least
-from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, code_columns
+from .paths import DEFAULT_ENUMERATION_CAP, FinitePath
 from .transform import successor_code
 
 
@@ -46,8 +47,8 @@ def _fraction(u) -> Fraction:
     return u if type(u) is Fraction else Fraction(u)
 
 
-def code_at(u: Fraction, n: int) -> tuple[int, tuple, tuple]:
-    """(interval index, digits, columns) of the stage-n interval holding u."""
+def code_at(u: Fraction, n: int) -> tuple[int, tuple]:
+    """(interval index, digits) of the stage-n interval holding u."""
     _check_stage(n)
     num, den = u.numerator, u.denominator
     if not 0 <= num < den:
@@ -57,21 +58,12 @@ def code_at(u: Fraction, n: int) -> tuple[int, tuple, tuple]:
     rest = index
     for m in range(n - 1, -1, -1):
         rest, digits[m] = divmod(rest, m + 2)
-    digits = tuple(digits)
-    return index, digits, code_columns(digits)
+    return index, tuple(digits)
 
 
-def stage_codes(n: int) -> Iterator[tuple[tuple, tuple]]:
-    """(digits, columns) of every length-n path, in interval order."""
-    if n == 0:
-        yield (), (0,)
-        return
-    # the columns of each prefix are found once for all n+1 last digits
-    for head in product(*(range(m + 2) for m in range(n - 1))):
-        head_cols = code_columns(head)
-        k = head_cols[-1]
-        for j in range(n + 1):
-            yield head + (j,), head_cols + (k + (j > k),)
+def stage_codes(n: int) -> Iterator[tuple]:
+    """Digits of every length-n path, in interval order."""
+    return product(*(range(m + 2) for m in range(n)))
 
 
 def decode_path(p: FinitePath) -> tuple[Fraction, Fraction]:
@@ -83,8 +75,7 @@ def decode_path(p: FinitePath) -> tuple[Fraction, Fraction]:
 
 def encode_point(u, n: int) -> FinitePath:
     """The unique length-n path whose stage-n interval contains u."""
-    _, digits, cols = code_at(_fraction(u), n)
-    return FinitePath._trusted(digits, cols)
+    return FinitePath._trusted(code_at(_fraction(u), n)[1])
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ class StackLayout:
         hi = Fraction(0)
         for index, code in enumerate(stage_codes(self.stage), 1):
             lo, hi = hi, Fraction(index, den)
-            yield FinitePath._trusted(*code), lo, hi
+            yield FinitePath._trusted(code), lo, hi
 
 
 def build_stage(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StackLayout:
@@ -130,10 +121,10 @@ def stage_map(layout: StackLayout, u) -> Optional[Fraction]:
     """
     u = _fraction(u)
     n = layout.stage
-    index, digits, cols = code_at(u, n)
-    nxt = successor_code(digits, cols)
+    index, digits = code_at(u, n)
+    nxt = successor_code(digits)
     if nxt is None:
         return None
     # u + shift/(n+1)!, over the common denominator
-    shift, scale = code_index(nxt[0]) - index, factorial(n + 1)
+    shift, scale = code_index(nxt) - index, factorial(n + 1)
     return Fraction(u.numerator * scale + shift * u.denominator, u.denominator * scale)

@@ -21,8 +21,8 @@ from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, check_fiber_cap, min_co
                     mirror_code)
 
 
-def successor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
-    """(digits, columns) of the successor, or None on a maximal path.
+def successor_code(digits: tuple) -> tuple | None:
+    """Digits of the successor, or None on a maximal path.
 
     The first edge that is not the greatest into its target (the top left
     copy k, or the single right edge onto the diagonal) moves to the next
@@ -30,52 +30,54 @@ def successor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
     left copy 0 out of the column to the right.  Below it the path
     restarts minimal into the new source.
     """
+    k = 0
     for m, j in enumerate(digits):
-        k = cols[m]
         if j < k or k < j <= m:
-            head, head_cols = min_code(m, k)
-            j += 1
-        elif j == m + 1 and k < m:
-            head, head_cols = min_code(m, k + 1)
-            j = 0
-        else:
-            continue
-        return head + (j,) + digits[m + 1 :], head_cols + cols[m + 1 :]
+            return min_code(m, k) + (j + 1,) + digits[m + 1 :]
+        if j == m + 1 and k < m:
+            return min_code(m, k + 1) + (0,) + digits[m + 1 :]
+        k = j  # the top left copy keeps column j, the diagonal climbs to it
     return None
 
 
-def orbit_codes(digits: tuple, cols: tuple) -> Iterator[tuple[tuple, tuple]]:
-    """The code (digits, cols) and each successor, to the fiber's maximal path."""
-    code = (digits, cols)
-    while code is not None:
-        yield code
-        code = successor_code(*code)
+def orbit_codes(digits: tuple) -> Iterator[tuple]:
+    """The code and each successor, to the fiber's maximal path."""
+    while digits is not None:
+        yield digits
+        digits = successor_code(digits)
 
 
 def fiber_codes(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple]:
     """Codes of all paths into v in Vershik order.  The size check runs at
     the call, so TooLarge comes before any code is walked."""
     check_fiber_cap(v, cap)
-    return orbit_codes(*min_code(v.level, v.column))
+    return orbit_codes(min_code(v.level, v.column))
 
 
-def predecessor_code(digits: tuple, cols: tuple) -> tuple[tuple, tuple] | None:
-    """(digits, columns) of the predecessor, or None on a minimal path: the
-    mirror of the successor of the mirror image."""
-    code = successor_code(*mirror_code(digits, cols))
-    return None if code is None else mirror_code(*code)
+def predecessor_code(digits: tuple) -> tuple | None:
+    """Digits of the predecessor, or None on a minimal path: the mirror of the
+    successor of the mirror image, on the prefix through the first edge that
+    is not the least into its target (the successor keeps the edges above)."""
+    k = 0
+    for m, j in enumerate(digits):
+        if j != k + 1 and (j or k):
+            head = successor_code(mirror_code(digits[: m + 1]))
+            return mirror_code(head) + digits[m + 1 :]
+        k = j  # right copy 0 climbs to column j, left copy 0 stays at 0
+    return None
 
 
-def rank_code(digits: tuple, cols: tuple) -> int:
+def rank_code(digits: tuple) -> int:
     """Orbit rank of a digit code (see orbit_rank)."""
     a = eulerian_lookup(len(digits) - 1)
     rank = 0
+    k = 0
     for m, j in enumerate(digits):
-        k = cols[m]
         # into (m+1, c): right copies from (m, c-1) rank first, then left
         # copies from (m, c)
         if j > k:
             rank += (j - k - 1) * a(m, k)
+            k += 1
         else:
             if k >= 1:
                 rank += (m - k + 2) * a(m, k - 1)
@@ -85,18 +87,18 @@ def rank_code(digits: tuple, cols: tuple) -> int:
 
 def successor(p: FinitePath) -> FinitePath:
     """The next path into the same terminal vertex in Vershik order."""
-    code = successor_code(p._digits, p._cols)
+    code = successor_code(p._digits)
     if code is None:
         raise MaximalPath(f"no successor: {p.to_text()!r} is maximal")
-    return FinitePath._trusted(*code)
+    return FinitePath._trusted(code)
 
 
 def predecessor(p: FinitePath) -> FinitePath:
     """The previous path into the same terminal vertex in Vershik order."""
-    code = predecessor_code(p._digits, p._cols)
+    code = predecessor_code(p._digits)
     if code is None:
         raise MinimalPath(f"no predecessor: {p.to_text()!r} is minimal")
-    return FinitePath._trusted(*code)
+    return FinitePath._trusted(code)
 
 
 def orbit_rank(p: FinitePath) -> int:
@@ -105,7 +107,7 @@ def orbit_rank(p: FinitePath) -> int:
     For each level, every in-edge of the target ranked below p's edge
     contributes the full count of paths into that edge's source.
     """
-    return rank_code(p._digits, p._cols)
+    return rank_code(p._digits)
 
 
 def path_with_rank(v: Vertex, rank: int) -> FinitePath:
@@ -115,7 +117,6 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
     if not 0 <= rank < total:
         raise OrbitOverflow(rank, total)
     digits: list[int] = []
-    cols = [v.column]
     m, c, t = v.level, v.column, rank
     while m > 0:
         # a rank below A(m, c) puts the diagonal c = m in the right block,
@@ -131,8 +132,7 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
             copy, t = divmod(t, a(m - 1, c))
             digits.append(copy)
         m -= 1
-        cols.append(c)
-    return FinitePath._trusted(tuple(reversed(digits)), tuple(reversed(cols)))
+    return FinitePath._trusted(tuple(reversed(digits)))
 
 
 def iterate(p: FinitePath, steps: int) -> FinitePath:

@@ -160,22 +160,22 @@ def test_mirror_reverses_every_fiber():
     codes = 0
     for n in range(7):
         for digits in product(*(range(m + 2) for m in range(n))):
-            code = (digits, code_columns(digits))
-            k = code[1][-1]
-            mirrored = mirror_code(*code)
+            cols = code_columns(digits)
+            k = cols[-1]
+            mirrored = mirror_code(digits)
             codes += 1
-            assert mirror_code(*mirrored) == code
-            assert code_columns(mirrored[0]) == mirrored[1]
-            assert mirrored[1][-1] == n - k
-            assert rank_code(*mirrored) == eulerian(n, k) - 1 - rank_code(*code)
-            assert code_index(mirrored[0]) == factorial(n + 1) - 1 - code_index(digits)
-            assert code_is_maximal(*mirrored) == code_is_minimal(*code)
-            after = successor_code(*mirrored)
-            before = predecessor_code(*code)
-            assert before == (None if after is None else mirror_code(*after))
+            assert mirror_code(mirrored) == digits
+            assert code_columns(mirrored) == tuple(m - c for m, c in enumerate(cols))
+            assert code_columns(mirrored)[-1] == n - k
+            assert rank_code(mirrored) == eulerian(n, k) - 1 - rank_code(digits)
+            assert code_index(mirrored) == factorial(n + 1) - 1 - code_index(digits)
+            assert code_is_maximal(mirrored) == code_is_minimal(digits)
+            after = successor_code(mirrored)
+            before = predecessor_code(digits)
+            assert before == (None if after is None else mirror_code(after))
             if before is None:
-                assert rank_code(*code) == 0
+                assert rank_code(digits) == 0
             else:
-                assert rank_code(*before) == rank_code(*code) - 1
-                assert successor_code(*before) == code
+                assert rank_code(before) == rank_code(digits) - 1
+                assert successor_code(before) == digits
     assert codes == sum(factorial(n + 1) for n in range(7))

@@ -1,9 +1,13 @@
-"""Every top-level import of a package module is used in that module.
+"""Every top-level import of a package module is used in that module, and
+every internal top-level function or class is used somewhere in the package.
 
-No linter runs on this package, so this stands in for an unused-import
+No linter runs on this package, so this stands in for an unused-name
 lint: it parses each module with ast and compares the names bound by its
 top-level imports with the names its code reads.  __init__ re-exports its
 imports and __future__ imports switch on features, so both are skipped.
+A top-level def or class that __init__ does not export has no caller
+outside the package, so some package module must read it, by name or as
+an attribute.
 """
 
 import ast
@@ -30,3 +34,28 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom)
+            for a in n.names}
+
+
+def _read_names() -> set[str]:
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_internal_definitions_have_a_caller(path):
+    defined = [n.name for n in ast.parse(path.read_text()).body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    used = _exported() | _read_names()
+    assert [name for name in defined if name not in used] == []

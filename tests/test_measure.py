@@ -37,6 +37,8 @@ from euleradic import (
     pushforward_check,
     transition_probs,
 )
+from euleradic import graph
+from euleradic.graph import EulerianTriangle, eulerian_row
 from euleradic.measure import ENCLOSURE_LEVEL_CAP
 
 
@@ -320,6 +322,23 @@ def test_tail_exact_routes_agree():
         for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2), Fraction(1, 10**20)):
             assert column_tail(n, eps) == dist.tail(eps)
         assert column_tail(n, Fraction(3)) == 0
+
+
+def test_tail_closed_form_matches_row_sums(monkeypatch):
+    epsilons = (0, Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), 1, 3, 0.1,
+                Fraction(1, 10**20))
+    expected = {}
+    for n in range(61):
+        row = eulerian_row(n)
+        for eps in epsilons:
+            t = Fraction(str(eps) if isinstance(eps, float) else eps) * n
+            hits = sum(a for k, a in enumerate(row) if abs(2 * k - n) >= t)
+            expected[n, eps] = Fraction(hits, factorial(n + 1))
+    # the closed form reads no triangle row: a fresh triangle stays at row 0
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle())
+    for (n, eps), tail in expected.items():
+        assert column_tail(n, eps) == tail
+    assert graph._TRIANGLE.levels_computed == 0
 
 
 @pytest.mark.parametrize("n, eps", [(20, 0.1), (30, 0.2), (10, 0.2)])

@@ -29,6 +29,8 @@ from euleradic import (
     predecessor,
     successor,
 )
+from euleradic import graph
+from euleradic.graph import EulerianTriangle
 from euleradic.transform import fiber_codes
 
 
@@ -59,10 +61,7 @@ def test_successor_chain_visits_fiber_in_order():
 
 def test_fiber_codes_match_enumeration():
     for v in _vertices(7):
-        listed = [
-            (p.digits, tuple(p.column_at(m) for m in range(len(p) + 1)))
-            for p in enumerate_paths_to(v)
-        ]
+        listed = [p.digits for p in enumerate_paths_to(v)]
         assert list(fiber_codes(v)) == listed
 
 
@@ -77,6 +76,18 @@ def test_fiber_codes_cap_matches_enumeration():
     assert str(walked.value) == str(listed.value)
     assert str(walked.value) == f"fiber of (6,3) has {total} paths, cap is {total - 1}"
     assert len(list(fiber_codes(v, total))) == len(enumerate_paths_to(v, total))
+
+
+def test_fiber_cap_builds_no_triangle_rows(monkeypatch):
+    # the fiber size is the closed form, so refusing a deep fiber leaves a
+    # fresh triangle at its root row
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle())
+    v = Vertex(1500, 750)
+    with pytest.raises(TooLarge):
+        fiber_codes(v)
+    with pytest.raises(TooLarge):
+        enumerate_paths_to(v)
+    assert graph._TRIANGLE.levels_computed == 0
 
 
 def test_successor_frozen_examples():
