@@ -243,8 +243,10 @@ def path_count_between(a: Vertex, b: Vertex) -> int:
     if 2 * k < n:
         j, k = m - j, n - k
     total = 0
+    binom = 1  # C(n+2, i); C(n+2, i+1) = C(n+2, i) (n+2-i) / (i+1) exactly
     for i in range(n - k + 1):
         x = n + 1 - k - i
-        term = comb(n + 2, i) * x ** (n - m) * comb(x + j, m + 1)
+        term = binom * x ** (n - m) * comb(x + j, m + 1)
         total += -term if i & 1 else term
+        binom = binom * (n + 2 - i) // (i + 1)
     return total

@@ -14,16 +14,20 @@ Under the symmetric measure the column sequence k_n is a Markov chain:
 
 Everything below (column laws, moments of the turn surplus 2k_n - n, pair
 drift, tail probabilities) is computed from this kernel or from the Eulerian
-counts in exact rational arithmetic.  For tail probabilities at levels far
-beyond the exact-DP budget, a certified enclosure runs the same recursion on
-integer numerators with floor and ceil rounding, yielding rigorous rational
-lower and upper bounds.
+counts exactly.  The scans run on Python integers, numerators over a known
+common denominator such as (n+1)! or (n+2)^2, and build each returned
+Fraction once at the end.  The kernel route to the column law reads no
+triangle memo, so it stays an independent check of the Eulerian route.  For
+tail probabilities at levels far beyond the exact-DP budget, a certified
+enclosure runs the same recursion on integer numerators with floor and ceil
+rounding, yielding rigorous rational lower and upper bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, comb, factorial
 from typing import Callable, Optional
 
@@ -57,12 +61,20 @@ class WeightSystem:
 
     @classmethod
     def symmetric(cls) -> "WeightSystem":
-        """The system with weight 1/(n+2) on every edge out of level n."""
-        return cls("symmetric", lambda e: Fraction(1, e.source.level + 2))
+        """The system with weight 1/(n+2) on every edge out of level n.
+
+        Each level's weight is built once and shared by its edges; the
+        cache belongs to the system and goes with it."""
+        level_weight = cache(lambda n: Fraction(1, n + 2))
+        return cls("symmetric", lambda e: level_weight(e.source.level))
 
     def weight(self, e: EdgeRef) -> Fraction:
-        w = Fraction(self.fn(e))
-        if w <= 0:
+        """fn(e) as a Fraction (a Fraction is returned as is); a Fraction's
+        denominator is positive, so its sign is the numerator's."""
+        w = self.fn(e)
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        if w.numerator <= 0:
             raise ValueError(f"non-positive weight {w} on {e}")
         return w
 
@@ -98,19 +110,24 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     copies carry one weight; (b) for every diamond with top vertex at level
     n < n_max, the left-then-right product equals the right-then-left one.
     Returns the first violation found, as data.  A negative n_max is an
-    InvalidArgument: it would pass on no checks at all.
+    InvalidArgument: it would pass on no checks at all.  Every copy is
+    weighed, so the scan is cubic in n_max; weights are compared as
+    integers, by numerator and denominator or by cross products.
     """
     require_at_least("invariance levels", n_max)
+    weight = ws.weight
     parallel = 0
     diamonds = 0
     for n in range(n_max):
         for k in range(n + 1):
             v = Vertex(n, k)
             for turn, size in ((Turn.LEFT, k + 1), (Turn.RIGHT, n - k + 1)):
-                w0 = ws.weight(EdgeRef(v, turn, 0))
+                w0 = weight(EdgeRef(v, turn, 0))
+                num, den = w0.numerator, w0.denominator
                 parallel += 1
                 for copy in range(1, size):
-                    if ws.weight(EdgeRef(v, turn, copy)) != w0:
+                    w = weight(EdgeRef(v, turn, copy))
+                    if w.numerator != num or w.denominator != den:
                         return InvarianceReport(
                             ws.label, n_max, parallel, diamonds,
                             f"parallel edges differ in {turn.value} bundle "
@@ -120,12 +137,13 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
         for k in range(n + 1):
             top = Vertex(n, k)
             # two routes to the common grandchild (n+2, k+1)
-            u1 = ws.weight(EdgeRef(top, Turn.LEFT, 0))
-            v1 = ws.weight(EdgeRef(Vertex(n + 1, k), Turn.RIGHT, 0))
-            u2 = ws.weight(EdgeRef(top, Turn.RIGHT, 0))
-            v2 = ws.weight(EdgeRef(Vertex(n + 1, k + 1), Turn.LEFT, 0))
+            u1 = weight(EdgeRef(top, Turn.LEFT, 0))
+            v1 = weight(EdgeRef(Vertex(n + 1, k), Turn.RIGHT, 0))
+            u2 = weight(EdgeRef(top, Turn.RIGHT, 0))
+            v2 = weight(EdgeRef(Vertex(n + 1, k + 1), Turn.LEFT, 0))
             diamonds += 1
-            if u1 * v1 != u2 * v2:
+            if (u1.numerator * v1.numerator * u2.denominator * v2.denominator
+                    != u2.numerator * v2.numerator * u1.denominator * v1.denominator):
                 return InvarianceReport(
                     ws.label, n_max, parallel, diamonds,
                     f"diamond law fails at top {top}: "
@@ -242,20 +260,24 @@ def column_distribution(n: int) -> ColumnDistribution:
 
 
 def column_distribution_dp(n: int) -> ColumnDistribution:
-    """Kernel route: push the law forward level by level with transition_probs.
+    """Kernel route: push the law forward level by level with the kernel.
 
-    Kept deliberately independent of the Eulerian triangle so the two
-    routes cross-check each other.
+    The law at level m is kept as integer numerators over (m+1)!; one step
+    multiplies each by its kernel weights (_kernel_weights, over m+2), so
+    the numerators at level m+1 are over (m+2)!.  One Fraction per column
+    is built at the end.  The full row is pushed, with no symmetry used
+    and no triangle memo read, so the two routes cross-check each other.
     """
-    probs = [Fraction(1)]
+    num = [1]
     for m in range(n):
-        nxt = [Fraction(0)] * (m + 2)
-        for k, p in enumerate(probs):
-            stay, step = transition_probs(m, k)
-            nxt[k] += p * stay
-            nxt[k + 1] += p * step
-        probs = nxt
-    return ColumnDistribution(n, tuple(probs))
+        nxt = [0] * (m + 2)
+        for k, a in enumerate(num):
+            stay, step = _kernel_weights(m, k)
+            nxt[k] += a * stay
+            nxt[k + 1] += a * step
+        num = nxt
+    fact = factorial(n + 1)
+    return ColumnDistribution(n, tuple(Fraction(a, fact) for a in num))
 
 
 # --- exact moments of the turn surplus ---------------------------------------
@@ -281,47 +303,52 @@ class MomentRow:
 def exact_moments(n_max: int) -> list[MomentRow]:
     """Moment table for levels 0..n_max via integer sums over Eulerian rows.
 
-    The squared-increment column comes from the joint law of (k_{n-1}, k_n)
-    under the kernel, not from any closed form.
+    One pass over each full row A(n, .) gives the integer sums s1 and s2
+    of the surplus and its square, and the increment sum for level n+1;
+    each is over (n+1)! (the increment sum over (n+2)!), and each
+    returned value is one Fraction built from them.  The squared-increment
+    column comes from the joint law of (k_{n-1}, k_n) under the kernel,
+    not from any closed form.
     """
     require_at_least("levels", n_max)
     rows = []
+    inc_total = None  # the increment sum for level n, from row n-1
     for n in range(n_max + 1):
         fact = factorial(n + 1)
-        row = eulerian_row(n)
-        s1 = sum(a * (2 * k - n) for k, a in enumerate(row))
-        s2 = sum(a * (2 * k - n) ** 2 for k, a in enumerate(row))
+        s1 = s2 = nxt_total = 0
+        for k, a in enumerate(eulerian_row(n)):
+            u = 2 * k - n
+            au = a * u
+            s1 += au
+            s2 += au * u
+            # The increment into level n+1 weighs column k by the kernel
+            # terms stay x_stay^2 + step x_step^2, with (stay, step) =
+            # _kernel_weights(n, k) = (k+1, n+1-k), x_stay = 2k-2(n+1) and
+            # x_step = 2k+2: that is 4(n+2)(k+1)(n+1-k), over (n+2)!.
+            nxt_total += a * ((k + 1) * (n + 1 - k))
         mean = Fraction(s1, fact)
-        var = Fraction(s2, fact) - mean * mean
+        var = Fraction(s2 * fact - s1 * s1, fact * fact)
         scaled_sq = Fraction((n + 1) ** 2 * s2, fact)
-        inc = None
-        if n >= 1:
-            total = 0
-            for k, a in enumerate(prev):
-                s_prev = n * (2 * k - (n - 1))
-                x_stay = (n + 1) * (2 * k - n) - s_prev
-                x_step = (n + 1) * (2 * (k + 1) - n) - s_prev
-                stay, step = _kernel_weights(n - 1, k)  # joint denominator (n+1)!
-                total += a * (stay * x_stay**2 + step * x_step**2)
-            inc = Fraction(total, fact)
+        inc = None if inc_total is None else Fraction(inc_total, fact)
         rows.append(MomentRow(n, mean, var, scaled_sq, inc))
-        prev = row
+        inc_total = 4 * (n + 2) * nxt_total
     return rows
 
 
 def pair_drift(n: int, k: int, k2: int) -> Fraction:
     """Exact one-step expected change of |k_n - k_n'| for independent paths.
 
-    Computed from the four turn combinations of the product kernel; no
-    closed form is assumed here.  Each combination is weighed by its
-    integer kernel weights, stay k+1 and step n-k+1 per path, and the sum
-    is divided once by (n+2)^2.
+    Computed from the turn combinations of the product kernel; no closed
+    form is assumed here.  Each combination is weighed by its integer
+    kernel weights, stay k+1 and step n-k+1 per path.  Both paths staying
+    or both stepping keeps the gap, so only the two mixed combinations
+    are summed, on integers, and the sum is divided once by (n+2)^2.
     """
+    stay, step = _kernel_weights(n, k)
+    stay2, step2 = _kernel_weights(n, k2)
     gap = abs(k - k2)
-    total = 0
-    for d1, w1 in enumerate(_kernel_weights(n, k)):
-        for d2, w2 in enumerate(_kernel_weights(n, k2)):
-            total += w1 * w2 * (abs(k + d1 - k2 - d2) - gap)
+    total = (step * stay2 * (abs(k + 1 - k2) - gap)
+             + stay * step2 * (abs(k - k2 - 1) - gap))
     return Fraction(total, (n + 2) ** 2)
 
 

@@ -6,7 +6,7 @@ taken at each level m, whose mixed-radix value is the path's interval index
 in the stacking layout.  The code is the digits alone: the columns k_0..k_n
 follow from them (a digit above the current column is a right turn, which
 increments it), and code functions count them as they scan.  FinitePath
-wraps the code at the public API and keeps the columns beside it.
+wraps the code at the public API and derives the columns on first read.
 
 Two same-length paths are compared at their largest index of disagreement.
 If the edges there enter the same vertex, the in-rank order decides;
@@ -42,7 +42,9 @@ class Order(Enum):
 
 class FinitePath:
     """An edge path from the root, stored as its digit code (see the module
-    docstring) with its column sequence k_0..k_n derived once beside it."""
+    docstring).  Its column sequence k_0..k_n is derived on the first read
+    of a column and kept: a path wrapped only to be walked or printed never
+    pays for it."""
 
     __slots__ = ("_digits", "_cols")
 
@@ -64,15 +66,21 @@ class FinitePath:
             else:
                 digits.append(copy)
         self._digits = tuple(digits)
-        self._cols = code_columns(self._digits)
+        self._cols = None
 
     @classmethod
     def _trusted(cls, digits: tuple) -> "FinitePath":
         """Wrap a digit code that is already known valid."""
         p = cls.__new__(cls)
         p._digits = digits
-        p._cols = code_columns(digits)
+        p._cols = None
         return p
+
+    def _columns(self) -> tuple[int, ...]:
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = code_columns(self._digits)
+        return cols
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -81,7 +89,7 @@ class FinitePath:
 
     @property
     def steps(self) -> tuple[tuple[Turn, int], ...]:
-        return tuple(map(step_for_out_index, self._cols, self._digits))
+        return tuple(map(step_for_out_index, self._columns(), self._digits))
 
     def __len__(self) -> int:
         return len(self._digits)
@@ -98,14 +106,14 @@ class FinitePath:
         """Column of the vertex this path passes through at level m."""
         if not 0 <= m <= len(self._digits):
             raise IndexBeyondPath(f"level {m} outside path of length {len(self)}")
-        return self._cols[m]
+        return self._columns()[m]
 
     @property
     def terminal(self) -> Vertex:
-        return Vertex(len(self._digits), self._cols[-1])
+        return Vertex(len(self._digits), self._columns()[-1])
 
     def edge_at(self, i: int) -> EdgeRef:
-        k = self._cols[i]
+        k = self._columns()[i]
         return EdgeRef(Vertex(i, k), *step_for_out_index(k, self._digits[i]))
 
     def edges(self) -> list[EdgeRef]:
@@ -248,7 +256,7 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
     """
     if len(p) != len(q):
         raise LengthMismatch(f"lengths {len(p)} and {len(q)} differ")
-    pd, pc, qd, qc = p._digits, p._cols, q._digits, q._cols
+    pd, pc, qd, qc = p._digits, p._columns(), q._digits, q._columns()
     if pc[-1] != qc[-1]:
         return Order.INCOMPARABLE
     if pd == qd:

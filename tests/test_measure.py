@@ -137,6 +137,58 @@ def test_turn_biased_system_passes_conditions():
     assert pushforward_check(5, ws=ws).ok
 
 
+def test_invariance_scan_weighs_every_copy():
+    # every parallel copy of every bundle below level 6, sum (n+1)(n+2) =
+    # 112, plus four bundle weights per diamond, 4 * 21
+    seen = []
+
+    def fn(e):
+        seen.append(e)
+        return Fraction(1, e.source.level + 2)
+
+    report = check_invariance_conditions(WeightSystem("counted", fn), 6)
+    assert report == InvarianceReport("counted", 6, 42, 21, None)
+    assert len(seen) == 196
+    assert sum(e.copy > 0 for e in seen) == 196 - 42 - 84
+
+
+def test_non_positive_weight_on_a_later_copy_raises():
+    for bad in (Fraction(0), Fraction(-1, 5), 0, -2.5):
+        def fn(e, bad=bad):
+            if (e.source.level, e.source.column, e.turn, e.copy) == (4, 2, Turn.RIGHT, 2):
+                return bad
+            return Fraction(1, e.source.level + 2)
+
+        with pytest.raises(ValueError, match="non-positive weight"):
+            check_invariance_conditions(WeightSystem("sunk", fn), 6)
+
+
+def test_plain_number_weights_report_as_fractions():
+    # ints and dyadic floats are exact Fractions, so the reports, texts
+    # included, match those of the Fraction-valued systems
+    def level_int(e):
+        if (e.source.level, e.source.column, e.turn, e.copy) == (3, 1, Turn.LEFT, 1):
+            return 7
+        return e.source.level + 1
+
+    def level_dyadic(e):
+        if (e.source.level, e.source.column, e.turn) == (4, 2, Turn.RIGHT):
+            return 0.375
+        return 0.5 ** (e.source.level + 1)
+
+    def plain_level(e):
+        return e.source.level + 1
+
+    kinds = []
+    for value, levels in ((level_int, 6), (level_dyadic, 7), (plain_level, 9)):
+        as_fraction = check_invariance_conditions(
+            WeightSystem("plain", lambda e: Fraction(value(e))), levels)
+        plain = check_invariance_conditions(WeightSystem("plain", value), levels)
+        assert plain == as_fraction
+        kinds.append(plain.violation and plain.violation.split()[0])
+    assert kinds == ["parallel", "diamond", None]
+
+
 def test_negative_counts_are_invalid_not_vacuous():
     # no levels and no cylinders would otherwise be reported as a pass
     with pytest.raises(InvalidArgument):
@@ -219,6 +271,13 @@ def test_column_routes_agree_to_200():
         assert column_distribution_dp(n).probs == column_distribution(n).probs
 
 
+def test_kernel_route_reads_no_triangle(monkeypatch):
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle(10))
+    law = column_distribution_dp(30)
+    assert graph._TRIANGLE.levels_computed == 10
+    assert law.probs == column_distribution(30).probs
+
+
 # --- moments ------------------------------------------------------------------------
 
 
@@ -246,6 +305,25 @@ def test_moments_match_brute_force():
         assert row.surplus_var == sq
         assert row.scaled_sq == (n + 1) ** 2 * sq
         assert row.increment_sq == inc_sq
+
+
+def _kernel_term_increment_sq(n):
+    """E of the squared increment at level n >= 1 from the joint law of
+    (k_{n-1}, k_n): sum over row n-1 of stay x_stay^2 + step x_step^2."""
+    total = 0
+    for k, a in enumerate(eulerian_row(n - 1)):
+        s_prev = n * (2 * k - (n - 1))
+        x_stay = (n + 1) * (2 * k - n) - s_prev
+        x_step = (n + 1) * (2 * (k + 1) - n) - s_prev
+        stay, step = k + 1, n - k  # over n+1; joint denominator (n+1)!
+        total += a * (stay * x_stay**2 + step * x_step**2)
+    return Fraction(total, factorial(n + 1))
+
+
+def test_increment_weight_matches_kernel_terms():
+    rows = exact_moments(150)
+    for n in range(1, 151):
+        assert rows[n].increment_sq == _kernel_term_increment_sq(n)
 
 
 def test_moment_closed_forms():

@@ -27,9 +27,13 @@ from euleradic import (
     max_path_to,
     min_path_to,
     path_from_out_indices,
+    path_with_rank,
+    predecessor,
     step_for_out_index,
+    successor,
     vershik_compare,
 )
+from euleradic import paths
 
 
 def _all_paths(n):
@@ -99,6 +103,33 @@ def test_column_sequence():
         cols = [p.column_at(i) for i in range(6)]
         assert cols[0] == 0
         assert all(b - a in (0, 1) for a, b in zip(cols, cols[1:]))
+
+
+def test_wrapped_path_derives_columns_on_first_read(monkeypatch):
+    # walking and cutting wrap paths without reading a column; the first
+    # column read derives the column tuple once, and later reads reuse it
+    calls = []
+    real = paths.code_columns
+    monkeypatch.setattr(paths, "code_columns",
+                        lambda digits: calls.append(digits) or real(digits))
+    p = path_with_rank(Vertex(12, 5), 1000)
+    q = successor(p)
+    assert predecessor(q) == p and len(q.prefix(7)) == 7
+    assert calls == []
+    readers = (
+        lambda x: x.terminal,
+        lambda x: x.column_at(3),
+        lambda x: x.steps,
+        lambda x: x.edge_at(2),
+        lambda x: vershik_compare(x, x),
+    )
+    for read in readers:
+        fresh = successor(p)
+        calls.clear()
+        assert read(fresh) == read(fresh)
+        assert calls == [fresh.digits]
+    assert q.terminal == Vertex(12, 5)
+    assert [q.column_at(m) for m in range(13)] == list(real(q.digits))
 
 
 def test_prefix_and_extended():
