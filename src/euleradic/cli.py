@@ -38,7 +38,7 @@ from .montecarlo import (
     variance_experiment,
 )
 from .paths import FinitePath, code_columns, code_is_maximal, code_text
-from .rationals import fraction_to_text, float_text, jsonable, stable_json
+from .rationals import fraction_to_text, float_text, int_text, jsonable, stable_json
 from .stacking import build_stage, stage_codes
 from .transform import fiber_codes, rank_code
 
@@ -104,7 +104,7 @@ def _cylinder(text: str) -> FinitePath:
 
 def _cmd_eulerian(args) -> int:
     require_at_least("level", args.n)
-    lines = [",".join(str(a) for a in eulerian_row(n)) for n in range(args.n + 1)]
+    lines = [",".join(map(int_text, eulerian_row(n))) for n in range(args.n + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

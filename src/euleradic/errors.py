@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the check that turns a
-count below its least value into an InvalidArgument.
+"""Exception types shared across the package, the check that turns a
+count below its least value into an InvalidArgument, and the check that
+refuses a count above its cap with a TooLarge.
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
 """
+
+from .rationals import digit_count, int_text
 
 
 class EulerAdicError(Exception):
@@ -20,6 +23,16 @@ def require_at_least(name: str, value: int, least: int = 0) -> None:
     would otherwise run an empty loop and report success."""
     if value < least:
         raise InvalidArgument(f"{name} {value} must be at least {least}")
+
+
+def require_within_cap(subject: str, items: str, count: int, cap: int) -> None:
+    """Raise InvalidArgument when cap is negative and TooLarge when count
+    exceeds it.  The message gives count as its digit count, so a refused
+    count of any size makes one short line."""
+    require_at_least("cap", cap)
+    if count > cap:
+        raise TooLarge(f"{subject} has a {digit_count(count)}-digit number of "
+                       f"{items}, cap is {int_text(cap)}")
 
 
 class RootHasNoInEdges(EulerAdicError):
@@ -56,5 +69,5 @@ class OrbitOverflow(EulerAdicError):
         self.requested = requested
         self.fiber_size = fiber_size
         super().__init__(
-            f"requested rank {requested} outside [0, {fiber_size - 1}]"
+            f"requested rank {int_text(requested)} outside [0, {int_text(fiber_size - 1)}]"
         )

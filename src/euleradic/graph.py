@@ -9,8 +9,10 @@ arbitrary-precision integers via the recursion
     A(n+1, k) = (n-k+2) A(n, k-1) + (k+1) A(n, k),   A(0, 0) = 1.
 
 Each row is symmetric, A(n, k) = A(n, n-k), since reversing a permutation
-of 1..n+1 swaps its rises and falls; the memo (EulerianTriangle) keeps
-columns 0..n//2 of each row and reads the others through the mirror.
+of 1..n+1 swaps its rises and falls.  The memo (EulerianTriangle) keeps
+columns 0..n//2 of the even rows only and reads the other columns through
+the mirror; an entry of an odd row is one recursion step from the stored
+even row below it.
 
 Incoming edges of a vertex carry a total order (the in-rank): the right-turn
 copies from (n-1, k-1) come first, in copy order, followed by the left-turn
@@ -150,46 +152,68 @@ def in_edges(v: Vertex) -> list[EdgeRef]:
     return edges
 
 
-class EulerianTriangle:
-    """Memoized table of the path counts A(n, k), one half row per level.
+def _next_half_row(half: list[int], m: int) -> list[int]:
+    """Columns 0..(m+1)//2 of row m+1 from columns 0..m//2 of row m."""
+    if m % 2:  # the new middle column reads A(m, (m+1)/2) = A(m, (m-1)/2)
+        half = half + half[-1:]
+    row = [1]
+    row += [(m - k + 2) * half[k - 1] + (k + 1) * half[k]
+            for k in range(1, (m + 1) // 2 + 1)]
+    return row
 
-    Row n is stored as its columns 0..n//2 only (rows are symmetric, see
-    the module docstring); every read goes through lookup, which maps a
-    column past the middle to its mirror.  Rows are appended on demand
-    and never mutated afterwards, so reads of already-computed rows are
-    safe while an extension is in progress; the extension itself is
-    serialized by a lock.
+
+class EulerianTriangle:
+    """Memoized table of the path counts A(n, k), one half row per even level.
+
+    Even row n is stored as its columns 0..n//2 (rows are symmetric, see
+    the module docstring).  Every read maps a column past the middle to its
+    mirror k -> n-k; an odd row m is not stored, and its entry is one
+    recursion step from the even row below it,
+
+        A(m, k) = (k+1) A(m-1, k) + (m-k+1) A(m-1, k-1),
+
+    two big-integer products per read.  Rows are appended on demand and
+    never mutated afterwards, so reads of already-computed rows are safe
+    while an extension is in progress; the extension itself is serialized
+    by a lock.  levels_computed is the deepest stored row, always even;
+    lookup, value and row at a level above it build rows up to that level
+    rounded up to even, which is at most one level past the one asked for.
     """
 
     def __init__(self, n_max: int = 0):
-        self._rows: list[list[int]] = [[1]]
+        self._rows: list[list[int]] = [[1]]  # _rows[i] is row 2i
         self._lock = threading.Lock()
         if n_max > 0:
             self.extend_to(n_max)
 
     def extend_to(self, n: int) -> None:
-        if len(self._rows) > n:
+        if self.levels_computed >= n:
             return
         with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows) - 1  # last computed level
-                prev = self._rows[m]
-                if m % 2:  # the new middle column reads A(m, (m+1)/2) = A(m, (m-1)/2)
-                    prev = prev + prev[-1:]
-                row = [1]
-                row += [(m - k + 2) * prev[k - 1] + (k + 1) * prev[k]
-                        for k in range(1, (m + 1) // 2 + 1)]
-                self._rows.append(row)
+            while self.levels_computed < n:
+                m = self.levels_computed
+                odd = _next_half_row(self._rows[-1], m)
+                self._rows.append(_next_half_row(odd, m + 1))
 
     def lookup(self, n: int) -> Callable[[int, int], int]:
-        """Build rows 0..n and return (m, k) -> A(m, k) for 0 <= k <= m <= n.
+        """Build rows up to level n and return (m, k) -> A(m, k) for
+        0 <= k <= m <= n.
 
         The returned function checks no range; it is for loops over
         columns that already lie in the triangle.
         """
         self.extend_to(n)
         rows = self._rows
-        return lambda m, k: rows[m][k if 2 * k <= m else m - k]
+
+        def a(m: int, k: int) -> int:
+            if 2 * k > m:
+                k = m - k
+            half = rows[m >> 1]  # row m, or row m-1 when m is odd
+            if not m & 1:
+                return half[k]
+            return (k + 1) * half[k] + (m - k + 1) * half[k - 1] if k else 1
+
+        return a
 
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0 or k > n:
@@ -197,16 +221,21 @@ class EulerianTriangle:
         return self.lookup(n)(n, k)
 
     def row(self, n: int) -> tuple[int, ...]:
-        """The full row A(n, 0..n); the mirrored half shares the stored ints."""
+        """The full row A(n, 0..n); the mirrored half shares the ints of
+        the half row."""
         if n < 0:
             raise InvalidArgument(f"negative level {n} has no triangle row")
         self.extend_to(n)
-        half = self._rows[n]
+        half = self._rows[n >> 1]
+        if n & 1:
+            half = _next_half_row(half, n - 1)
         return (*half, *reversed(half[: (n + 1) // 2]))
 
     @property
     def levels_computed(self) -> int:
-        return len(self._rows) - 1
+        """The deepest level that lookup, value and row read without
+        building a row."""
+        return 2 * len(self._rows) - 2
 
 
 _TRIANGLE = EulerianTriangle()

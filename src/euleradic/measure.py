@@ -301,37 +301,40 @@ class MomentRow:
 
 
 def exact_moments(n_max: int) -> list[MomentRow]:
-    """Moment table for levels 0..n_max via integer sums over Eulerian rows.
+    """Moment table for levels 0..n_max from three integer power sums.
 
-    One pass over each full row A(n, .) gives the integer sums s1 and s2
-    of the surplus and its square, and the increment sum for level n+1;
-    each is over (n+1)! (the increment sum over (n+2)!), and each
-    returned value is one Fraction built from them.  The squared-increment
-    column comes from the joint law of (k_{n-1}, k_n) under the kernel,
-    not from any closed form.
+    P_j(n) = sum_k A(n, k) k^j for j = 0, 1, 2 follow from the triangle's
+    recursion without reading any row:
+
+        P0' = (n+2) P0,  P1' = (n+1) (P1 + P0),
+        P2' = n P2 + (2n+1) P1 + (n+1) P0,
+
+    the k^3 terms cancelling in P2'.  P0(n) = (n+1)! is the denominator;
+    the surplus sums are s1 = 2 P1 - n P0 and s2 = 4 P2 - 4n P1 + n^2 P0,
+    and each returned value is one Fraction built from them.  The
+    squared-increment column comes from the joint law of (k_{n-1}, k_n)
+    under the kernel, not from any closed form.
     """
     require_at_least("levels", n_max)
     rows = []
-    inc_total = None  # the increment sum for level n, from row n-1
+    inc_total = None  # the increment sum for level n, over (n+1)!
+    p0, p1, p2 = 1, 0, 0  # row 0 is A(0, 0) = 1
     for n in range(n_max + 1):
-        fact = factorial(n + 1)
-        s1 = s2 = nxt_total = 0
-        for k, a in enumerate(eulerian_row(n)):
-            u = 2 * k - n
-            au = a * u
-            s1 += au
-            s2 += au * u
-            # The increment into level n+1 weighs column k by the kernel
-            # terms stay x_stay^2 + step x_step^2, with (stay, step) =
-            # _kernel_weights(n, k) = (k+1, n+1-k), x_stay = 2k-2(n+1) and
-            # x_step = 2k+2: that is 4(n+2)(k+1)(n+1-k), over (n+2)!.
-            nxt_total += a * ((k + 1) * (n + 1 - k))
-        mean = Fraction(s1, fact)
-        var = Fraction(s2 * fact - s1 * s1, fact * fact)
-        scaled_sq = Fraction((n + 1) ** 2 * s2, fact)
-        inc = None if inc_total is None else Fraction(inc_total, fact)
+        s1 = 2 * p1 - n * p0
+        s2 = 4 * p2 - 4 * n * p1 + n * n * p0
+        mean = Fraction(s1, p0)
+        var = Fraction(s2 * p0 - s1 * s1, p0 * p0)
+        scaled_sq = Fraction((n + 1) ** 2 * s2, p0)
+        inc = None if inc_total is None else Fraction(inc_total, p0)
         rows.append(MomentRow(n, mean, var, scaled_sq, inc))
-        inc_total = 4 * (n + 2) * nxt_total
+        # The increment into level n+1 weighs column k by the kernel terms
+        # stay x_stay^2 + step x_step^2, with (stay, step) =
+        # _kernel_weights(n, k) = (k+1, n+1-k), x_stay = 2k-2(n+1) and
+        # x_step = 2k+2: that is 4(n+2)(k+1)(n+1-k), over (n+2)!, and
+        # (k+1)(n+1-k) = (n+1) + n k - k^2.
+        inc_total = 4 * (n + 2) * ((n + 1) * p0 + n * p1 - p2)
+        p0, p1, p2 = ((n + 2) * p0, (n + 1) * (p1 + p0),
+                      n * p2 + (2 * n + 1) * p1 + (n + 1) * p0)
     return rows
 
 

@@ -25,7 +25,7 @@ import re
 from enum import Enum
 from operator import sub
 
-from .errors import IndexBeyondPath, LengthMismatch, TooLarge, require_at_least
+from .errors import IndexBeyondPath, LengthMismatch, require_within_cap
 from .graph import EdgeRef, Turn, Vertex, in_edges, path_count_between
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -270,10 +270,7 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
 def check_fiber_cap(v: Vertex, cap: int) -> None:
     """Raise TooLarge when more than cap paths end at v (a closed form that
     builds no triangle rows), InvalidArgument when cap is negative."""
-    require_at_least("cap", cap)
-    total = path_count_between(Vertex(0, 0), v)
-    if total > cap:
-        raise TooLarge(f"fiber of {v} has {total} paths, cap is {cap}")
+    require_within_cap(f"fiber of {v}", "paths", path_count_between(Vertex(0, 0), v), cap)
 
 
 def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[FinitePath]:

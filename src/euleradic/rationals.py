@@ -2,7 +2,9 @@
 
 Rationals cross the text boundary as "p/q" strings, which Fraction(text)
 parses back exactly; floats are printed with a fixed number of
-significant digits.
+significant digits.  Integers print in full at any size (int_text), past
+the interpreter's limit on int-to-str conversion, which stays as it is;
+a field past that limit reads back through decimal, int(Decimal(text)).
 stable_json gives byte-identical output for equal inputs: keys are sorted
 and nothing volatile (timestamps, addresses) is ever embedded.
 """
@@ -11,16 +13,32 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
 DEFAULT_FLOAT_DIGITS = 12
 
 
+def int_text(n: int) -> str:
+    """The decimal digits of n, however many.  str(n) refuses integers
+    longer than sys.get_int_max_str_digits() (4300 digits by default);
+    decimal's conversion has no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def digit_count(n: int) -> int:
+    """The number of decimal digits of |n| (1 for 0)."""
+    return len(int_text(abs(n)))
+
+
 def fraction_to_text(x: Fraction) -> str:
     """Serialize a rational as "p/q", denominator always present."""
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{int_text(f.numerator)}/{int_text(f.denominator)}"
 
 
 def float_text(x: float) -> str:

@@ -24,7 +24,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import InvalidArgument, TooLarge, require_at_least
+from .errors import InvalidArgument, require_within_cap
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath
 from .transform import successor_code
 
@@ -106,9 +106,7 @@ def build_stage(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StackLayout:
     """The stage-n layout; refuses negative stages and caps, and stages with
     more than cap intervals."""
     _check_stage(n)
-    require_at_least("cap", cap)
-    if factorial(n + 1) > cap:
-        raise TooLarge(f"stage {n} has {factorial(n + 1)} intervals, cap is {cap}")
+    require_within_cap(f"stage {n}", "intervals", factorial(n + 1), cap)
     return StackLayout(n)
 
 

@@ -7,11 +7,16 @@ for the seeded ones, and --out writing the same bytes as stdout would.
 
 import hashlib
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from euleradic import cli
+from euleradic import Vertex, cli, path_count_between
 from euleradic.cli import main
+from euleradic.rationals import digit_count, fraction_to_text, int_text
 
 
 def _run(capsys, *argv):
@@ -39,10 +44,48 @@ def test_orbit_cap_gives_operation_error(capsys):
     code, out, err = _run(capsys, "orbit", "--vertex", "30,15")
     assert code == 1
     assert out == ""
+    # A(30, 15) = 1999411100024544765835750654805760 has 34 digits
     assert err == (
-        "error: fiber of (30,15) has 1999411100024544765835750654805760 paths, "
-        "cap is 1000000\n"
+        "error: fiber of (30,15) has a 34-digit number of paths, cap is 1000000\n"
     )
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("orbit", "--vertex", "1700,850"),
+     "error: fiber of (1700,850) has a 4758-digit number of paths, cap is 1000000\n"),
+    (("stack", "--stage", "1700"),
+     "error: stage 1700 has a 4759-digit number of intervals, cap is 1000000\n"),
+])
+def test_refusal_past_int_str_limit_is_one_short_line(capsys, argv, line):
+    # the refused count has more digits than str() converts by default
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (1, "", line)
+
+
+def test_exact_output_past_int_str_limit_prints_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(capsys, "birkhoff", "--cylinder", "L0.R0", "--level", "2000",
+                          "--mode", "exact_stack")
+    assert code == 0 and err == ""
+    num, _, den = json.loads(out)["exact"]["frequency"].partition("/")
+    target = Vertex(2000, 1000)
+    exact = Fraction(path_count_between(Vertex(2, 1), target),
+                     path_count_between(Vertex(0, 0), target))
+    assert len(den) > limit
+    assert (int(Decimal(num)), int(Decimal(den))) == (exact.numerator, exact.denominator)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_int_text_past_the_str_limit():
+    limit = sys.get_int_max_str_digits()
+    for digits in (1, limit, limit + 1, 3 * limit):
+        for n in (10 ** (digits - 1), 10**digits - 1):
+            assert digit_count(n) == digits and digit_count(-n) == digits
+            assert int(Decimal(int_text(n))) == n and len(int_text(n)) == digits
+            assert int_text(-n) == "-" + int_text(n)
+    assert int_text(0) == "0" and digit_count(0) == 1
+    big = factorial(1701)
+    assert fraction_to_text(Fraction(1, big)) == "1/" + int_text(big)
 
 
 @pytest.mark.parametrize("argv", ["orbit --vertex 2,1", "stack --stage 2"])

@@ -3,8 +3,10 @@
 Core claims: out-degree n+2 split into k+1 left and n-k+1 right copies;
 in-edges ordered right bundle then left bundle with gapless ranks; the
 triangle values equal brute-force path counts and permutation rise counts;
-row n sums to (n+1)!; the half-row memo equals a full-row recursion and
-allocates well under what full rows take; path_count_between splits over intermediate levels,
+row n sums to (n+1)!; the memo of even half rows equals a full-row
+recursion at every level, odd ones included, keeps its levels_computed
+contract and allocates about a quarter of what full rows take;
+path_count_between splits over intermediate levels,
 equals a level-by-level count on every pair of vertices up to level 14 and
 on sampled pairs up to level 200, and is symmetric under the column mirror.
 """
@@ -233,10 +235,42 @@ def _traced_bytes(build):
     return size
 
 
-def test_half_row_memo_allocates_half():
-    half = _traced_bytes(lambda: EulerianTriangle(300))
+def test_half_row_memo_allocates_a_quarter():
+    # half rows at even levels only: about a quarter of the full triangle
+    memo = _traced_bytes(lambda: EulerianTriangle(300))
     full = _traced_bytes(lambda: _full_triangle(300))
-    assert half <= 0.6 * full
+    assert memo <= 0.3 * full
+
+
+def test_odd_levels_read_from_the_row_below():
+    full = _full_triangle(201)
+    tri = EulerianTriangle()
+    a = tri.lookup(201)
+    for m in range(1, 202, 2):
+        assert [a(m, k) for k in range(m + 1)] == full[m], m
+    # every odd read above used only the stored even rows
+    assert tri.levels_computed == 202
+
+
+def test_levels_computed_contract():
+    # levels_computed is the deepest stored row, always even: a read at or
+    # below it builds nothing, and a read above it builds rows up to the
+    # level asked for, rounded up to even
+    tri = EulerianTriangle()
+    assert tri.levels_computed == 0
+    assert EulerianTriangle(10).levels_computed == 10
+    assert EulerianTriangle(11).levels_computed == 12
+    assert tri.value(1, 1) == 1
+    assert tri.levels_computed == 2
+    for n in (2, 7, 8, 9, 30, 31):
+        before = tri.levels_computed
+        tri.value(n, n // 2)
+        tri.row(n)
+        tri.lookup(n)
+        after = tri.levels_computed
+        assert after == before if n <= before else after == n + n % 2, n
+    assert tri.value(33, 0) == 1 and tri.levels_computed == 34
+    assert tri.value(40, 41) == 0 and tri.levels_computed == 34
 
 
 def test_triangle_concurrent_extension():

@@ -1,7 +1,7 @@
 """Measure-layer checks.
 
 Oracles here are deliberately dumb: moments come from summing over every
-path of a short level, pair drift from enumerating raw out-edge index
+path of a short level and from a scan over full Eulerian rows, pair drift from enumerating raw out-edge index
 pairs, and the column law from a test-local kernel iteration.  The library
 routes must reproduce all of them exactly.  Closed forms asserted: mean
 surplus 0, surplus variance (n+2)/3, squared increment 4 at level 1 and
@@ -19,6 +19,7 @@ from euleradic import (
     FinitePath,
     InvalidArgument,
     InvarianceReport,
+    MomentRow,
     PushforwardReport,
     TooLarge,
     Turn,
@@ -324,6 +325,42 @@ def test_increment_weight_matches_kernel_terms():
     rows = exact_moments(150)
     for n in range(1, 151):
         assert rows[n].increment_sq == _kernel_term_increment_sq(n)
+
+
+def _row_scan_moments(n_max):
+    """The moment table by one pass over each full Eulerian row: the integer
+    sums s1, s2 of the surplus and its square over (n+1)!, and the
+    increment sum for level n+1, whose kernel terms weigh column k of row
+    n by 4(n+2)(k+1)(n+1-k), over (n+2)!."""
+    rows = []
+    inc_total = None
+    for n in range(n_max + 1):
+        fact = factorial(n + 1)
+        s1 = s2 = nxt_total = 0
+        for k, a in enumerate(eulerian_row(n)):
+            u = 2 * k - n
+            s1 += a * u
+            s2 += a * u * u
+            nxt_total += a * ((k + 1) * (n + 1 - k))
+        rows.append(MomentRow(
+            n, Fraction(s1, fact), Fraction(s2 * fact - s1 * s1, fact * fact),
+            Fraction((n + 1) ** 2 * s2, fact),
+            None if inc_total is None else Fraction(inc_total, fact)))
+        inc_total = 4 * (n + 2) * nxt_total
+    return rows
+
+
+def test_power_sums_match_row_scan():
+    oracle = _row_scan_moments(400)
+    for n_max in (0, 1, 2, 3, 150):
+        assert exact_moments(n_max) == oracle[: n_max + 1]
+    assert exact_moments(400) == oracle
+
+
+def test_moments_read_no_triangle(monkeypatch):
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle())
+    exact_moments(50)
+    assert graph._TRIANGLE.levels_computed == 0
 
 
 def test_moment_closed_forms():

@@ -10,7 +10,9 @@ run exactly, which the meeting tests exploit.
 
 import hashlib
 import json
+import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -33,6 +35,7 @@ from euleradic import (
     load_expectations,
     meeting_experiment,
     pair_drift_experiment,
+    path_count_between,
     sample_experiment,
     sample_path,
     successor,
@@ -314,6 +317,18 @@ def test_birkhoff_exact_stack_full_length_cylinder():
     assert cyl.terminal == Vertex(3, 1)
     report = birkhoff_experiment(cyl, 3, column=1, tolerance=100.0)
     assert report.exact["frequency"] == Fraction(1, eulerian(3, 1))
+
+
+def test_birkhoff_exact_report_past_int_str_limit():
+    # the exact frequency at level 1600 has more digits than str() converts
+    # by default; the report prints it in full
+    text = birkhoff_experiment(FinitePath.from_text("L0.R0"), 1600).to_json()
+    num, _, den = json.loads(text)["exact"]["frequency"].partition("/")
+    target = Vertex(1600, 800)
+    exact = Fraction(path_count_between(Vertex(2, 1), target),
+                     path_count_between(Vertex(0, 0), target))
+    assert len(den) > sys.get_int_max_str_digits()
+    assert (int(Decimal(num)), int(Decimal(den))) == (exact.numerator, exact.denominator)
 
 
 def test_birkhoff_exact_stack_leaves_the_triangle_alone():

@@ -7,6 +7,8 @@ successor; orbit_rank equals the enumeration index and path_with_rank
 inverts it; iterate does exact rank arithmetic and overflows loudly.
 """
 
+from math import factorial
+
 import pytest
 
 from euleradic import (
@@ -25,12 +27,14 @@ from euleradic import (
     max_path_to,
     min_path_to,
     orbit_rank,
+    path_count_between,
     path_with_rank,
     predecessor,
     successor,
 )
 from euleradic import graph
 from euleradic.graph import EulerianTriangle
+from euleradic.rationals import int_text
 from euleradic.transform import fiber_codes
 
 
@@ -74,7 +78,9 @@ def test_fiber_codes_cap_matches_enumeration():
     with pytest.raises(TooLarge) as listed:
         enumerate_paths_to(v, total - 1)
     assert str(walked.value) == str(listed.value)
-    assert str(walked.value) == f"fiber of (6,3) has {total} paths, cap is {total - 1}"
+    assert total == 2416
+    assert str(walked.value) == (
+        f"fiber of (6,3) has a 4-digit number of paths, cap is {total - 1}")
     assert len(list(fiber_codes(v, total))) == len(enumerate_paths_to(v, total))
 
 
@@ -152,6 +158,29 @@ def test_rank_round_trip_large():
         path_with_rank(v, total)
     with pytest.raises(OrbitOverflow):
         path_with_rank(v, -1)
+
+
+@pytest.mark.parametrize("level, column", [(301, 150), (299, 0), (299, 299), (299, 149)])
+def test_rank_round_trip_odd_top_level(level, column):
+    # the memo stores even rows only: the top level and every other level
+    # below it are read one recursion step from the row under them
+    v = Vertex(level, column)
+    total = eulerian(level, column)
+    assert total == path_count_between(Vertex(0, 0), v)
+    for rank in {0, 1 % total, total // 3, total // 2, total - 1}:
+        path = path_with_rank(v, rank)
+        assert path.terminal == v
+        assert orbit_rank(path) == rank
+    assert path_with_rank(v, 0) == min_path_to(v)
+    assert path_with_rank(v, total - 1) == max_path_to(v)
+    with pytest.raises(OrbitOverflow):
+        path_with_rank(v, total)
+
+
+def test_orbit_overflow_message_past_int_str_limit():
+    big = factorial(1701)  # 4759 digits
+    err = OrbitOverflow(big + 1, big)
+    assert str(err) == f"requested rank {int_text(big + 1)} outside [0, {int_text(big - 1)}]"
 
 
 # --- iterate -----------------------------------------------------------------
