@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import EulerAdicError, InvalidArgument, require_at_least
+from .errors import EulerAdicError, InvalidArgument, require_at_least, require_threshold
 from .graph import Vertex, eulerian_row
 from .measure import (
     check_invariance_conditions,
@@ -175,6 +175,8 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _cmd_meeting(args) -> int:
+    if args.min_fraction is not None:
+        require_threshold("min fraction", args.min_fraction, 1)
     stats = meeting_experiment(
         args.nmax,
         args.reps,

@@ -1,10 +1,13 @@
 """Exception types shared across the package, the check that turns a
-count below its least value into an InvalidArgument, and the check that
-refuses a count above its cap with a TooLarge.
+count below its least value into an InvalidArgument, the check that
+refuses a count above its cap with a TooLarge, and the check of a
+pass/fail threshold.
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
 """
+
+from math import inf, isfinite
 
 from .rationals import digit_count, int_text
 
@@ -23,6 +26,15 @@ def require_at_least(name: str, value: int, least: int = 0) -> None:
     would otherwise run an empty loop and report success."""
     if value < least:
         raise InvalidArgument(f"{name} {value} must be at least {least}")
+
+
+def require_threshold(name: str, value: float, most: float = inf) -> None:
+    """Raise InvalidArgument unless a pass/fail threshold is a finite number
+    in [0, most].  Every comparison with NaN is false, so a gate on it
+    passes or fails whatever the run gives, and so does one out of range."""
+    if not (isfinite(value) and 0 <= value <= most):
+        span = f"in [0, {most}]" if isfinite(most) else "at least 0"
+        raise InvalidArgument(f"{name} {value} must be a finite number {span}")
 
 
 def require_within_cap(subject: str, items: str, count: int, cap: int) -> None:

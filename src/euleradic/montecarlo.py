@@ -15,9 +15,16 @@ Under the symmetric measure, every edge out of a level-m vertex is equally
 likely, so a random path is a sequence of independent uniform out-edge
 indices j_m in [0, m+2); the column chain alone suffices for the
 distributional experiments and is simulated without materializing edges.
-One walker steps a replica's paths together, in buffers allocated once
-per walk: a float64 array of k+1 per path, the level's uniforms and a
-right-turn mask.
+One walker steps a replica's paths together in two float64 buffers
+allocated once per walk: k+1 per path, and the level's uniforms, which
+the comparison overwrites with the turns.  Each replica's walk is reduced
+as soon as it ends, before the next replica's starts: sample and
+chebyshev keep a bincount of the final columns, summed in replica order;
+variance, meeting and pair drift keep the per-sample values their
+reports need (a float64 surplus, int64 meeting counts, narrow integer
+columns and gap increments), concatenated in replica order.  So a seeded
+experiment holds one replica's walk, 16 bytes per path, plus those
+sample-long arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, require_at_least
+from .errors import InvalidArgument, require_at_least, require_threshold
 from .graph import Vertex, path_count_between
 from .measure import (
     EXACT_TAIL_BUDGET,
@@ -178,45 +185,49 @@ def _walk(n: int, width: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     right iff u (m+2) >= k+1.
 
     Yields one float64 array, stepped in place; a caller keeping a level
-    copies it.  A level step fills three buffers allocated once per walk,
-    so it allocates no array.  Holding k+1 as a float64 is exact while
-    k+1 < 2^53, and it is the value the comparison with the float64
-    product u (m+2) would cast an integer column to, so the draws and
-    every turn are those of the integer rule.
+    copies it.  A level step makes two passes over the two buffers
+    allocated once per walk, so it allocates no array: the comparison
+    overwrites the uniforms with exactly 0.0 or 1.0, which are then
+    added.  Holding k+1 as a float64 is exact while k+1 < 2^53, and it is
+    the value the comparison with the float64 product u (m+2) would cast
+    an integer column to, so the draws and every turn are those of the
+    integer rule.
     """
     u = np.empty(width)
     c = np.ones(width)
-    right = np.empty(width, dtype=bool)
     yield c
     for m in range(n):
         rng.random(out=u)
         u *= m + 2
-        np.greater_equal(u, c, out=right)
-        c += right
+        np.greater_equal(u, c, out=u)
+        c += u
         yield c
 
 
 def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...]:
     """Split reps over the replicas and merge their arrays in index order.
 
-    run(generator, share) simulates one replica's share and returns a
-    tuple of arrays; the i-th arrays of all replicas are concatenated
-    along their first axis into the i-th result.
+    run(generator, share) simulates one replica's share and reduces it to
+    a tuple of arrays; the i-th arrays of all replicas are concatenated
+    along their first axis into the i-th result.  A replica's walk lives
+    only inside its run, so one walk is alive at a time, and the merge
+    holds only what the runs return.
     """
     require_at_least("sample count", reps, least=1)
     parts = [run(cfg.generator(i), m) for i, m in enumerate(cfg.split(reps)) if m]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _final_columns(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
-    """Columns k_level of reps independent paths."""
+def _column_counts(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
+    """How many of reps independent paths end in each column 0..level:
+    a bincount per replica, summed in replica order."""
     require_at_least("level", level)
 
     def run(rng, m):
         *_, c = _walk(level, m, rng)
-        return (c.astype(np.int64) - 1,)
+        return (np.bincount(c.astype(np.intp), minlength=level + 2)[None, 1:],)
 
-    return _replicas(cfg, reps, run)[0]
+    return _replicas(cfg, reps, run)[0].sum(axis=0)
 
 
 # --- experiments --------------------------------------------------------------
@@ -224,8 +235,7 @@ def _final_columns(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
 
 def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Empirical column frequencies at one level against the exact law."""
-    ks = _final_columns(level, reps, cfg)
-    counts = np.bincount(ks, minlength=level + 1)
+    counts = _column_counts(level, reps, cfg)
     dist = column_distribution(level)
     emp = counts / reps
     worst = 0.0
@@ -252,13 +262,24 @@ def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
 
 def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Mean and variance of the turn surplus 2 k_n - n at one level."""
-    ks = _final_columns(level, reps, cfg)
-    u = (2 * ks - level).astype(np.float64)
+    require_at_least("level", level)
+
+    def run(rng, m):
+        *_, c = _walk(level, m, rng)
+        c *= 2  # the walk has ended, so its buffer becomes the surplus
+        c -= level + 2  # 2(k+1) - (n+2) = 2k - n, an integer, exact
+        return (c,)
+
+    u = _replicas(cfg, reps, run)[0]
     mean = float(u.mean())
-    var = float(u.var(ddof=1)) if reps > 1 else 0.0
-    centered = u - mean
-    m2 = float((centered**2).mean())
-    m4 = float((centered**4).mean())
+    # numpy's var(ddof=1) step by step, on the same arrays in the same
+    # order: the deviations from the mean, squared, summed, over reps - 1;
+    # the scratch array then takes the fourth powers
+    u -= mean
+    scratch = np.square(u)
+    var = float(scratch.sum() / (reps - 1)) if reps > 1 else 0.0
+    m2 = float(scratch.mean())
+    m4 = float(np.power(u, 4, out=scratch).mean())
     se_mean = sqrt(var / reps)
     se_var = sqrt(max(m4 - m2 * m2, 0.0) / reps)
     exact_var = Fraction(level + 2, 3) if level >= 1 else Fraction(0)
@@ -289,8 +310,9 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")
     check_enclosure_level(level)
-    ks = _final_columns(level, reps, cfg)
-    hits = int((np.abs(2 * ks - level) >= tail_threshold(level, eps)).sum())
+    counts = _column_counts(level, reps, cfg)
+    surplus = np.abs(2 * np.arange(level + 1) - level)
+    hits = int(counts[surplus >= tail_threshold(level, eps)].sum())
     emp = hits / reps
     if level <= EXACT_TAIL_BUDGET:
         lo = hi = column_tail(level, eps)
@@ -334,29 +356,33 @@ def meeting_experiment(
     require_at_least("min_meetings", min_meetings)
 
     def run(rng, m):
-        # per pair: together until the columns first differ, unmet until
-        # the first later level where they agree; counting the levels a
-        # flag holds gives sigma and the first meeting level
-        together = np.ones(m, dtype=bool)
-        unmet = np.ones(m, dtype=bool)
         eq = np.empty(m, dtype=bool)
-        meeting = np.empty(m, dtype=bool)
+        equal = np.zeros(m, dtype=np.int64)  # levels with equal columns
+        # while some pair is still together, count each pair's levels
+        # together: sigma, or n_max+1 for a pair that never diverges
+        together = np.ones(m, dtype=bool)
         before_sigma = np.zeros(m, dtype=np.int64)
-        before_meeting = np.zeros(m, dtype=np.int64)
-        meet = np.zeros(m, dtype=np.int64)
+        some_together = True
+        first = np.full(m, -1, dtype=np.int64)  # first meeting level
+        waiting = np.arange(m)  # pairs not met yet
         hits = np.zeros((1, n_max + 1), dtype=np.int64)  # one row per replica
         for n, c in enumerate(_walk(n_max, 2 * m, rng)):
             np.equal(c[:m], c[m:], out=eq)
             hits[0, n] = np.count_nonzero(eq)
-            together &= eq
-            before_sigma += together
-            np.greater(eq, together, out=meeting)  # equal after diverging
-            meet += meeting
-            np.greater(unmet, meeting, out=unmet)
-            before_meeting += unmet
-        diverged = ~together
-        sigma = np.where(diverged, before_sigma, -1)
-        lag = np.where(diverged & ~unmet, before_meeting - before_sigma, -1)
+            equal += eq
+            met = eq[waiting]
+            if some_together:
+                together &= eq
+                before_sigma += together
+                some_together = together.any()
+                np.greater(met, together[waiting], out=met)  # equal after diverging
+            if met.any():
+                first[waiting[met]] = n
+                waiting = waiting[~met]
+        # every level before sigma is equal, so the meetings are the rest
+        meet = equal - before_sigma
+        sigma = np.where(together, -1, before_sigma)
+        lag = np.where(first >= 0, first - before_sigma, -1)
         return meet, sigma, lag, hits
 
     meet, sigma, lag, hits = _replicas(cfg, reps, run)
@@ -397,14 +423,21 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     depends on the columns only through their gap (for gap > 0).
     """
     require_at_least("level", level)
+    # the least signed integer type holding -level-1 holds every column
+    # and every difference of two; a gap changes by -1, 0 or 1 in a step
+    column = np.min_scalar_type(-level - 1)
 
     def run(rng, m):
         walk = _walk(level + 1, 2 * m, rng)
-        ks = next(islice(walk, level, None)).astype(np.int64)
-        ks -= 1
-        ka, kb = np.split(ks, 2)
-        after = next(walk)  # k+1 as float64; a difference of columns is exact
-        return ka, kb, np.abs(after[:m] - after[m:]) - np.abs(ka - kb)
+        c = next(islice(walk, level, None))
+        ka, kb = (c[:m] - 1).astype(column), (c[m:] - 1).astype(column)
+        before = c[:m] - c[m:]  # a difference of k+1 floats is exact
+        np.abs(before, out=before)
+        after = next(walk)  # the same buffer, one level on
+        step = after[:m] - after[m:]
+        np.abs(step, out=step)
+        step -= before
+        return ka, kb, step.astype(np.int8)
 
     ka, kb, inc = _replicas(cfg, reps, run)
     gap = np.abs(ka - kb)
@@ -476,6 +509,8 @@ def birkhoff_experiment(
             f"cylinder of length {len(cylinder)} is longer than level {big_level}"
         )
     require_at_least("budget", budget)
+    if tolerance is not None:
+        require_threshold("tolerance", tolerance)
     target = Vertex(big_level, col)
     if mode == "exact_stack":
         tol = 0.02 if tolerance is None else tolerance

@@ -220,11 +220,11 @@ def test_meeting_and_series(capsys, tmp_path):
     text = series.read_text().splitlines()
     assert text[0] == "level,value"
     assert len(text) == 202
-    # an unreachable fraction threshold must flip the exit code
+    # a fraction threshold the run does not reach must flip the exit code
     code, out, err = _run(
         capsys,
         "meeting", "--nmax", "50", "--reps", "100", "--seed", "5",
-        "--min-fraction", "1.1",
+        "--min-fraction", "1",
     )
     assert code == 1
     assert "below" in err
@@ -366,6 +366,11 @@ def test_usage_errors_exit_2():
     "birkhoff --cylinder L0 --level 12 --mode orbit_mc --column 6",
     "sample --level 5 --reps 10 --seed -1",
     "birkhoff --cylinder L0 --level 5 --mode orbit_mc --seed -3",
+    # a threshold no run can meet, or one NaN makes every comparison miss
+    "meeting --nmax 5 --reps 10 --seed 1 --min-fraction nan",
+    "meeting --nmax 5 --reps 10 --seed 1 --min-fraction 1.5",
+    "birkhoff --cylinder L0 --level 5 --tolerance nan",
+    "birkhoff --cylinder L0 --level 5 --tolerance -1",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:

@@ -110,6 +110,11 @@ def test_draw_order_is_frozen():
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, mode="orbit_mc",
                                     cfg=cfg, budget=-5),
     lambda cfg: sample_path(-1, cfg.generator(0)),
+    # a tolerance no deviation can meet, or one that every deviation meets
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, tolerance=float("nan")),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, tolerance=-1),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, mode="orbit_mc",
+                                    cfg=cfg, tolerance=float("inf")),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
@@ -137,8 +142,8 @@ def test_sample_experiment_matches_exact_law():
 def test_walk_steps_without_width_sized_temporaries():
     # past level 1 the walk's buffers exist; a level step only refills
     # them, so 100 more levels raise the traced peak by less than a
-    # quarter of one float64 column (numpy's fixed ufunc cast buffer,
-    # about 64 KB, is the only allocation left)
+    # quarter of one float64 column (numpy's fixed ufunc cast buffer for
+    # the comparison's output is the only allocation left)
     width = 100_000
     walk = _walk(200, width, RngConfig(3).generator(0))
     tracemalloc.start()
@@ -152,6 +157,29 @@ def test_walk_steps_without_width_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak - start < 8 * width // 4
+
+
+@pytest.mark.parametrize("call, bound", [
+    (lambda reps, cfg: sample_experiment(100, reps, cfg), 4.1),
+    (lambda reps, cfg: chebyshev_experiment(100, Fraction(1, 4), reps, cfg), 4.1),
+    (lambda reps, cfg: variance_experiment(100, reps, cfg), 16.1),
+    (lambda reps, cfg: pair_drift_experiment(20, reps, cfg), 15.5),
+], ids=["sample", "chebyshev", "variance", "pair-drift"])
+def test_experiment_holds_one_replica_walk(call, bound):
+    # traced peak bytes per sample at 4 replicas: one replica's walk is
+    # two float64 buffers over a quarter of the paths, 4 bytes per sample
+    # (8 for pairs); variance adds its float64 surplus and one scratch
+    # array, 16 in all; pair drift adds two float64 gaps of one share and
+    # int8 columns and increments, 15 in all
+    reps, cfg = 200_000, RngConfig(61, replicas=4)
+    call(1000, cfg)  # the exact references and numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        call(reps, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / reps < bound
 
 
 def _replayed_columns(level, reps, cfg):
@@ -223,23 +251,49 @@ def test_chebyshev_enclosure_branch():
 
 
 def test_chebyshev_above_enclosure_cap_draws_nothing(monkeypatch):
+    # the walker is the one place a draw happens
     def no_draws(*args):
         raise AssertionError("drew columns for a level it cannot certify")
 
-    monkeypatch.setattr(montecarlo, "_final_columns", no_draws)
+    monkeypatch.setattr(montecarlo, "_walk", no_draws)
     with pytest.raises(TooLarge):
         chebyshev_experiment(ENCLOSURE_LEVEL_CAP + 1, Fraction(1, 10), 1, RngConfig(1))
+
+
+# --- negative controls ------------------------------------------------------------------
+
+
+def _biased_walk(n, width, rng):
+    # the walker with one column more to clear: right iff u (m+2) >= k+2
+    c = np.ones(width)
+    yield c
+    for m in range(n):
+        c += rng.random(width) * (m + 2) >= c + 1
+        yield c
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: sample_experiment(40, 20_000, cfg),
+    lambda cfg: variance_experiment(40, 20_000, cfg),
+    lambda cfg: chebyshev_experiment(40, Fraction(1, 4), 20_000, cfg),
+], ids=["sample", "variance", "chebyshev"])
+def test_biased_walk_fails_the_verdict(monkeypatch, call):
+    # criterion 11's sizes.  Two verdicts cannot see this bias, so they
+    # are no controls for it: chebyshev at criterion 11's own eps 1/2,
+    # whose tail at level 40 is too thin for 20 000 samples, and pair
+    # drift, because lowering every path's right-turn chance by 1/(m+2)
+    # leaves the gap drift at -d/(n+2)
+    monkeypatch.setattr(montecarlo, "_walk", _biased_walk)
+    assert not call(RngConfig(424242, replicas=3)).passed
 
 
 # --- meetings ------------------------------------------------------------------------
 
 
-def test_meeting_bookkeeping():
+def _replayed_meetings(n_max, reps, cfg):
     # replay the README draw contract one path at a time: per replica and
     # level n, 2m uniforms, path a first; a path at column k turns right
     # iff u (n+2) >= k+1
-    n_max, reps, cfg = 200, 400, RngConfig(31, replicas=2)
-    stats = meeting_experiment(n_max, reps, cfg, keep_series=True)
     meet, sigma, lag, hits = [], [], [], [0] * (n_max + 1)
     for i, m in enumerate(cfg.split(reps)):
         rng = cfg.generator(i)
@@ -257,11 +311,45 @@ def test_meeting_bookkeeping():
             sigma.append(s)
             meet.append(len(later))
             lag.append(later[0] - s if later else -1)
+    return meet, sigma, lag, hits
+
+
+def test_meeting_bookkeeping():
+    n_max, reps, cfg = 200, 400, RngConfig(31, replicas=2)
+    stats = meeting_experiment(n_max, reps, cfg, keep_series=True)
+    meet, sigma, lag, hits = _replayed_meetings(n_max, reps, cfg)
     assert stats.meetings_per_pair.tolist() == meet
     assert stats.sigma_per_pair.tolist() == sigma
     assert stats.first_lag_per_pair.tolist() == lag
     assert stats.series == [(n, h / reps) for n, h in enumerate(hits)]
     assert stats.series[0] == (0, 1.0)
+
+
+def _never_diverged(sigma, lag):
+    return -1 in sigma
+
+
+def _met_after_the_last_divergence(sigma, lag):
+    # sigma is tracked only until every pair has diverged
+    return -1 not in sigma and max(s + g for s, g in zip(sigma, lag) if g >= 0) > max(sigma)
+
+
+@pytest.mark.parametrize("n_max, reps, cfg, shows", [
+    (0, 5, RngConfig(31, replicas=2), _never_diverged),
+    (1, 40, RngConfig(31, replicas=2), _never_diverged),
+    (2, 40, RngConfig(31, replicas=3), _never_diverged),
+    # shares 1, 1, 0: the last replica has no pairs
+    (30, 2, RngConfig(31, replicas=3), _met_after_the_last_divergence),
+    (40, 30, RngConfig(31, replicas=2), _met_after_the_last_divergence),
+], ids=["nmax-0", "nmax-1", "nmax-2", "empty-share", "sigma-phase-ends"])
+def test_meeting_bookkeeping_edge_cases(n_max, reps, cfg, shows):
+    stats = meeting_experiment(n_max, reps, cfg, keep_series=True)
+    meet, sigma, lag, hits = _replayed_meetings(n_max, reps, cfg)
+    assert shows(sigma, lag)
+    assert stats.meetings_per_pair.tolist() == meet
+    assert stats.sigma_per_pair.tolist() == sigma
+    assert stats.first_lag_per_pair.tolist() == lag
+    assert stats.series == [(n, h / reps) for n, h in enumerate(hits)]
 
 
 def test_meeting_prefix_property():
