@@ -12,7 +12,6 @@ from .errors import (
     MaximalPath,
     MinimalPath,
     OrbitOverflow,
-    RootHasNoInEdges,
     TooLarge,
 )
 from .graph import (
@@ -22,14 +21,11 @@ from .graph import (
     Vertex,
     eulerian,
     eulerian_row,
-    in_edges,
-    out_edges,
     path_count_between,
 )
 from .paths import (
     FinitePath,
     Order,
-    enumerate_paths_to,
     path_from_out_indices,
     step_for_out_index,
     is_maximal,
@@ -39,6 +35,7 @@ from .paths import (
     vershik_compare,
 )
 from .transform import (
+    enumerate_paths_to,
     iterate,
     orbit_rank,
     path_with_rank,

@@ -37,7 +37,8 @@ from .montecarlo import (
     sample_experiment,
     variance_experiment,
 )
-from .paths import FinitePath, code_columns, code_is_maximal, code_text
+from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, code_columns, code_is_maximal,
+                    code_text)
 from .rationals import fraction_to_text, float_text, int_text, jsonable, stable_json
 from .stacking import build_stage, stage_codes
 from .transform import fiber_codes, rank_code
@@ -254,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("orbit", _cmd_orbit, "list a fiber in successor order")
     p.add_argument("--vertex", type=_vertex, required=True, metavar="n,k")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p = cmd("invariance", _cmd_invariance, "invariance conditions and pushforward")
     p.add_argument("--levels", type=int, required=True)
@@ -301,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("stack", _cmd_stack, "dump a stage layout as CSV")
     p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     return top
 

@@ -47,10 +47,6 @@ def require_within_cap(subject: str, items: str, count: int, cap: int) -> None:
                        f"{items}, cap is {int_text(cap)}")
 
 
-class RootHasNoInEdges(EulerAdicError):
-    """Incoming edges were requested for the root vertex (0,0)."""
-
-
 class IndexBeyondPath(EulerAdicError):
     """A level index outside [0, len(path)] was requested."""
 

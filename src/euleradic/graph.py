@@ -16,8 +16,9 @@ even row below it.
 
 Incoming edges of a vertex carry a total order (the in-rank): the right-turn
 copies from (n-1, k-1) come first, in copy order, followed by the left-turn
-copies from (n-1, k), in copy order.  This order drives the successor map in
-the transform module.
+copies from (n-1, k), in copy order.  It is stated in code once, on the
+digit codes: min_code and successor_code (transform) step through it, and
+vershik_compare (paths) compares by it.
 
 Paths between any two vertices have a closed form.  A path from (m, j) to
 (n, k) inserts the letters m+2, ..., n+1 one at a time into a fixed
@@ -48,7 +49,7 @@ from enum import Enum
 from math import comb
 from typing import Callable
 
-from .errors import InvalidArgument, RootHasNoInEdges
+from .errors import InvalidArgument
 
 
 class Turn(Enum):
@@ -69,19 +70,6 @@ class Vertex:
         if self.level < 0 or not 0 <= self.column <= self.level:
             raise ValueError(f"invalid vertex ({self.level},{self.column})")
 
-    @property
-    def out_degree(self) -> int:
-        return self.level + 2
-
-    @property
-    def in_degree(self) -> int:
-        """Number of incoming edges; 0 at the root, 1 on the boundary."""
-        if self.level == 0:
-            return 0
-        if self.column in (0, self.level):
-            return 1
-        return self.level + 2
-
     def __repr__(self):
         return f"({self.level},{self.column})"
 
@@ -91,8 +79,8 @@ class EdgeRef:
     """One edge of the multigraph: (source, turn direction, copy index).
 
     The copy index runs over the parallel edges of a bundle: 0..k for the
-    left bundle out of (n, k), 0..n-k for the right bundle.  The target and
-    the in-rank are derived, never stored.
+    left bundle out of (n, k), 0..n-k for the right bundle.  The target is
+    derived, never stored.
     """
 
     source: Vertex
@@ -113,43 +101,8 @@ class EdgeRef:
         n, k = self.source.level, self.source.column
         return Vertex(n + 1, k if self.turn is Turn.LEFT else k + 1)
 
-    @property
-    def in_rank(self) -> int:
-        """Position of this edge in the in-edge order of its target.
-
-        Right-turn copies rank 0..m-c, left-turn copies follow, where (m, c)
-        is the target.  Boundary targets have a single one-edge bundle.
-        """
-        m, c = self.target.level, self.target.column
-        if self.turn is Turn.RIGHT:
-            return self.copy
-        return self.copy + (m - c + 1 if c >= 1 else 0)
-
     def __repr__(self):
         return f"{self.source}-{self.turn.value}{self.copy}"
-
-
-def out_edges(v: Vertex) -> list[EdgeRef]:
-    """All n+2 edges leaving v: left copies ascending, then right copies."""
-    n, k = v.level, v.column
-    left = [EdgeRef(v, Turn.LEFT, c) for c in range(k + 1)]
-    right = [EdgeRef(v, Turn.RIGHT, c) for c in range(n - k + 1)]
-    return left + right
-
-
-def in_edges(v: Vertex) -> list[EdgeRef]:
-    """All edges entering v, listed in increasing in-rank order."""
-    n, k = v.level, v.column
-    if n == 0:
-        raise RootHasNoInEdges("the root (0,0) has no incoming edges")
-    edges = []
-    if k >= 1:
-        src = Vertex(n - 1, k - 1)
-        edges += [EdgeRef(src, Turn.RIGHT, c) for c in range(n - k + 1)]
-    if k <= n - 1:
-        src = Vertex(n - 1, k)
-        edges += [EdgeRef(src, Turn.LEFT, c) for c in range(k + 1)]
-    return edges
 
 
 def _next_half_row(half: list[int], m: int) -> list[int]:

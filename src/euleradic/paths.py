@@ -26,7 +26,7 @@ from enum import Enum
 from operator import sub
 
 from .errors import IndexBeyondPath, LengthMismatch, require_within_cap
-from .graph import EdgeRef, Turn, Vertex, in_edges, path_count_between
+from .graph import EdgeRef, Turn, Vertex, path_count_between
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -271,27 +271,3 @@ def check_fiber_cap(v: Vertex, cap: int) -> None:
     """Raise TooLarge when more than cap paths end at v (a closed form that
     builds no triangle rows), InvalidArgument when cap is negative."""
     require_within_cap(f"fiber of {v}", "paths", path_count_between(Vertex(0, 0), v), cap)
-
-
-def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[FinitePath]:
-    """All paths into v in increasing Vershik order.
-
-    The list has eulerian(n, k) entries; a TooLarge error guards against
-    fibers beyond the cap.  Order is by final in-rank first, recursively.
-    """
-    check_fiber_cap(v, cap)
-    memo: dict[Vertex, list[tuple]] = {}
-
-    def build(w: Vertex) -> list[tuple]:
-        if w.level == 0:
-            return [()]
-        if w in memo:
-            return memo[w]
-        out = []
-        for e in in_edges(w):
-            step = (e.turn, e.copy)
-            out.extend(pre + (step,) for pre in build(e.source))
-        memo[w] = out
-        return out
-
-    return [FinitePath(steps) for steps in build(v)]

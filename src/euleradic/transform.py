@@ -6,7 +6,8 @@ path into the new source; edges above stay fixed, so the terminal vertex is
 preserved.  Orbit positions within a fiber are ranked combinatorially:
 rank(p) counts the paths into the same terminal vertex that are strictly
 smaller, via the Eulerian counts of the sources of lower-ranked in-edges.
-Every orbit walk is orbit_codes; fiber_codes starts one at a minimal path.
+Every orbit walk is orbit_codes; fiber_codes starts one at a minimal path,
+and enumerate_paths_to wraps the codes of fiber_codes as FinitePaths.
 The graph's mirror (paths.mirror_code) reverses the in-edge order into
 every vertex, so T^-1 = mirror . T . mirror gives the predecessor.
 """
@@ -52,6 +53,12 @@ def fiber_codes(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple
     the call, so TooLarge comes before any code is walked."""
     check_fiber_cap(v, cap)
     return orbit_codes(min_code(v.level, v.column))
+
+
+def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[FinitePath]:
+    """All eulerian(n, k) paths into v in increasing Vershik order: the
+    fiber_codes walk, wrapped.  TooLarge refuses fibers beyond the cap."""
+    return [FinitePath._trusted(c) for c in fiber_codes(v, cap)]
 
 
 def predecessor_code(digits: tuple) -> tuple | None:

@@ -129,6 +129,16 @@ def test_drift_table(capsys):
     assert err == ""
 
 
+def test_drift_sign_check_fails_on_a_positive_drift(capsys, monkeypatch):
+    # a drift just above 0 on every pair: each of the 20 pairs k != k2 up
+    # to level 3 breaks the sign check
+    monkeypatch.setattr(cli, "pair_drift", lambda n, k, k2: Fraction(1, 10**6))
+    code, out, err = _run(capsys, "drift", "--levels", "3")
+    assert code == 1
+    assert "3,0,1,1/1000000\n" in out
+    assert err == "sign check failed for 20 pairs\n"
+
+
 # sha256 of stdout, frozen: the exact drift table, exact_stack Birkhoff
 # reports, a fiber listing and the pushforward report must keep their bytes
 # whatever route computes them
@@ -245,7 +255,23 @@ def test_birkhoff_modes(capsys):
     )
     payload = json.loads(out)
     assert payload["params"]["mode"] == "orbit_mc"
-    assert code in (0, 1)
+    assert payload["estimates"]["frequency"] == 0.40386537820726426
+    assert code == 0
+
+
+def test_failed_birkhoff_verdict_exits_1(capsys):
+    # the exact frequency 9/13 of L0 in column 1 at level 4 is 0.38 away
+    # from the reference 1/2 in relative terms, so tolerance 0 fails
+    code, out, err = _run(
+        capsys,
+        "birkhoff", "--cylinder", "L0", "--level", "4", "--column", "1",
+        "--tolerance", "0",
+    )
+    payload = json.loads(out)
+    assert payload["exact"]["frequency"] == "9/13"
+    assert payload["passed"] is False
+    assert code == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize("level", ["10", "700"])

@@ -30,7 +30,6 @@ from euleradic import (
     build_stage,
     decode_path,
     encode_point,
-    enumerate_paths_to,
     eulerian,
     is_maximal,
     is_minimal,
@@ -44,6 +43,8 @@ from euleradic import (
 from euleradic.paths import code_columns, code_is_maximal, code_is_minimal, mirror_code
 from euleradic.stacking import code_index
 from euleradic.transform import predecessor_code, rank_code, successor_code
+
+from edge_order import recursive_fiber
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -135,7 +136,7 @@ def test_stage_map_follows_enumerated_fiber_order(offset):
     for n in range(1, 7):
         layout = build_stage(n)
         for k in range(n + 1):
-            fiber = enumerate_paths_to(Vertex(n, k))
+            fiber = recursive_fiber(Vertex(n, k))
             for r, p in enumerate(fiber):
                 lo, hi = decode_path(p)
                 u = lo + (hi - lo) * offset

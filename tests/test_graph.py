@@ -1,12 +1,15 @@
 """Graph-layer checks.
 
 Core claims: out-degree n+2 split into k+1 left and n-k+1 right copies;
-in-edges ordered right bundle then left bundle with gapless ranks; the
-triangle values equal brute-force path counts and permutation rise counts;
+the in-edge oracle of edge_order lists the right bundle, then the left
+bundle, with gapless ranks; the triangle values equal brute-force path
+counts and permutation rise counts;
 row n sums to (n+1)!; the memo of even half rows equals a full-row
 recursion at every level, odd ones included, keeps its levels_computed
 contract and allocates about a quarter of what full rows take;
 path_count_between splits over intermediate levels,
+counts the permutations of 1..n+1 with k rises that keep a fixed pattern
+on 1..L+1 (every pattern up to n = 6),
 equals a level-by-level count on every pair of vertices up to level 14 and
 on sampled pairs up to level 200, and is symmetric under the column mirror.
 """
@@ -24,15 +27,15 @@ from euleradic import (
     EdgeRef,
     EulerianTriangle,
     InvalidArgument,
-    RootHasNoInEdges,
     Turn,
     Vertex,
     eulerian,
     eulerian_row,
-    in_edges,
-    out_edges,
     path_count_between,
+    step_for_out_index,
 )
+
+from edge_order import in_edges, in_rank
 
 
 # --- oracles -----------------------------------------------------------------
@@ -64,11 +67,21 @@ def _full_triangle(n_max):
     return rows
 
 
+def _rises(p):
+    return sum(a < b for a, b in zip(p, p[1:]))
+
+
 def _brute_rise_counts(n):
-    """Permutations of {0..n} by number of rises."""
-    counts = [0] * (n + 1)
+    """Permutations of {0..n} by number of rises, split by the order in which
+    each leading set 0..L (L <= n) appears in them: counts[pattern][k], where
+    pattern is the subsequence of the values 0..L.  The pattern (0,) holds
+    every permutation."""
+    counts = {}
     for p in permutations(range(n + 1)):
-        counts[sum(a < b for a, b in zip(p, p[1:]))] += 1
+        k = _rises(p)
+        for lead in range(n + 1):
+            pattern = tuple(x for x in p if x <= lead)
+            counts.setdefault(pattern, [0] * (n + 1))[k] += 1
     return counts
 
 
@@ -104,19 +117,22 @@ def test_vertex_validation():
         Vertex(-1, 0)
 
 
+def _out_edges(v):
+    """The n+2 edges out of v, by out-edge index j in [0, n+2)."""
+    return [EdgeRef(v, *step_for_out_index(v.column, j)) for j in range(v.level + 2)]
+
+
 def test_out_edges_structure():
-    root = out_edges(Vertex(0, 0))
+    root = _out_edges(Vertex(0, 0))
     assert [(e.turn, e.copy) for e in root] == [(Turn.LEFT, 0), (Turn.RIGHT, 0)]
-    edges = out_edges(Vertex(2, 1))
-    assert len(edges) == 4
-    assert sum(e.turn is Turn.LEFT for e in edges) == 2
-    assert sum(e.turn is Turn.RIGHT for e in edges) == 2
-    assert len(out_edges(Vertex(5, 3))) == 7
     for n in range(7):
         for k in range(n + 1):
             v = Vertex(n, k)
-            edges = out_edges(v)
-            assert len(edges) == n + 2 == v.out_degree
+            edges = _out_edges(v)
+            # k+1 left copies in copy order, then n-k+1 right copies
+            assert [(e.turn, e.copy) for e in edges] == (
+                [(Turn.LEFT, c) for c in range(k + 1)]
+                + [(Turn.RIGHT, c) for c in range(n - k + 1)])
             assert all(e.source == v for e in edges)
             targets = {(e.target.level, e.target.column) for e in edges}
             assert targets == {(n + 1, k), (n + 1, k + 1)}
@@ -150,17 +166,10 @@ def test_in_edges_order_and_ranks():
         for k in range(n + 1):
             v = Vertex(n, k)
             edges = in_edges(v)
-            assert len(edges) == v.in_degree
-            if 0 < k < n:
-                assert len(edges) == n + 2
+            assert len(edges) == (n + 2 if 0 < k < n else 1)
             # ranks are 0..len-1 without gaps, and derivable per edge
-            assert [e.in_rank for e in edges] == list(range(len(edges)))
+            assert [in_rank(e) for e in edges] == list(range(len(edges)))
             assert all(e.target == v for e in edges)
-
-
-def test_root_has_no_in_edges():
-    with pytest.raises(RootHasNoInEdges):
-        in_edges(Vertex(0, 0))
 
 
 # --- triangle ----------------------------------------------------------------
@@ -199,7 +208,7 @@ def test_eulerian_matches_brute_path_counts():
 
 def test_eulerian_matches_permutation_rises():
     for n in range(7):
-        assert list(eulerian_row(n)) == _brute_rise_counts(n)
+        assert list(eulerian_row(n)) == _brute_rise_counts(n)[(0,)]
 
 
 def test_row_sums_are_factorials():
@@ -306,6 +315,23 @@ def test_path_count_between_matches_eulerian():
     for n in range(10):
         for k in range(n + 1):
             assert path_count_between(root, Vertex(n, k)) == eulerian(n, k)
+
+
+def test_path_count_between_matches_permutation_patterns():
+    # a path from (L, j) to (n, k) inserts the letters L+2..n+1 into a fixed
+    # permutation pi of 1..L+1 with j rises (see the graph module docstring),
+    # so it counts the permutations of 1..n+1 with k rises in which 1..L+1
+    # appear in pi's order; here on values shifted down by one
+    checks = 0
+    for n in range(7):
+        counts = _brute_rise_counts(n)
+        for lead in range(n + 1):
+            for pi in permutations(range(lead + 1)):
+                start = Vertex(lead, _rises(pi))
+                for k in range(n + 1):
+                    assert path_count_between(start, Vertex(n, k)) == counts[pi][k], (pi, n, k)
+                    checks += 1
+    assert checks == 47560
 
 
 def test_path_count_chapman_kolmogorov():

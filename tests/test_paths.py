@@ -35,6 +35,8 @@ from euleradic import (
 )
 from euleradic import paths
 
+from edge_order import in_rank
+
 
 def _all_paths(n):
     out = []
@@ -54,7 +56,7 @@ def _steps(p):
 
 
 def _steps_compare(p, q):
-    # oracle: the comparator on (turn, copy) steps and EdgeRef in-ranks
+    # oracle: the comparator on (turn, copy) steps and edge_order in-ranks
     sp, sq = _steps(p), _steps(q)
     if sp == sq:
         return Order.EQUAL
@@ -63,7 +65,7 @@ def _steps_compare(p, q):
         n -= 1
     if p.column_at(n + 1) != q.column_at(n + 1):
         return Order.INCOMPARABLE
-    rp, rq = p.edge_at(n).in_rank, q.edge_at(n).in_rank
+    rp, rq = in_rank(p.edge_at(n)), in_rank(q.edge_at(n))
     return Order.LESS if rp < rq else Order.GREATER
 
 

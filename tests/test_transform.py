@@ -1,8 +1,9 @@
 """Successor-map checks.
 
 Core claims: repeated successor steps from the minimal path visit the
-fiber of its terminal vertex in enumeration order, and so does the code
-walk fiber_codes, under the same size cap; predecessor inverts
+fiber of its terminal vertex in the order of the in-edge recursion
+(edge_order), and so do the code walk fiber_codes and its wrapper
+enumerate_paths_to, under one size cap; predecessor inverts
 successor; orbit_rank equals the enumeration index and path_with_rank
 inverts it; iterate does exact rank arithmetic and overflows loudly.
 """
@@ -20,7 +21,6 @@ from euleradic import (
     Vertex,
     enumerate_paths_to,
     eulerian,
-    in_edges,
     is_maximal,
     is_minimal,
     iterate,
@@ -37,6 +37,8 @@ from euleradic.graph import EulerianTriangle
 from euleradic.rationals import int_text
 from euleradic.transform import fiber_codes
 
+from edge_order import in_edges, in_rank, recursive_fiber
+
 
 def _vertices(max_level):
     for n in range(max_level + 1):
@@ -46,7 +48,7 @@ def _vertices(max_level):
 
 def _edge_maximal(path, i):
     edge = path.edge_at(i)
-    return edge.in_rank == len(in_edges(edge.target)) - 1
+    return in_rank(edge) == len(in_edges(edge.target)) - 1
 
 
 # --- successor ---------------------------------------------------------------
@@ -54,7 +56,7 @@ def _edge_maximal(path, i):
 
 def test_successor_chain_visits_fiber_in_order():
     for v in _vertices(5):
-        fiber = enumerate_paths_to(v)
+        fiber = recursive_fiber(v)
         path = min_path_to(v)
         seen = [path]
         while not is_maximal(path):
@@ -64,9 +66,11 @@ def test_successor_chain_visits_fiber_in_order():
 
 
 def test_fiber_codes_match_enumeration():
+    # both package routes against the in-edge recursion of the oracle
     for v in _vertices(7):
-        listed = [p.digits for p in enumerate_paths_to(v)]
-        assert list(fiber_codes(v)) == listed
+        listed = recursive_fiber(v)
+        assert list(fiber_codes(v)) == [p.digits for p in listed]
+        assert enumerate_paths_to(v) == listed
 
 
 def test_fiber_codes_cap_matches_enumeration():
@@ -117,7 +121,7 @@ def test_successor_keeps_terminal_and_suffix():
             assert all(_edge_maximal(path, i) for i in range(j))
             assert is_minimal(nxt.prefix(j))
             assert path.edge_at(j).target == nxt.edge_at(j).target
-            assert nxt.edge_at(j).in_rank == path.edge_at(j).in_rank + 1
+            assert in_rank(nxt.edge_at(j)) == in_rank(path.edge_at(j)) + 1
 
 
 def test_predecessor_inverts_successor():
