@@ -26,21 +26,19 @@ from .graph import (
 from .paths import (
     FinitePath,
     Order,
-    path_from_out_indices,
-    step_for_out_index,
+    enumerate_paths_to,
     is_maximal,
     is_minimal,
+    iterate,
     max_path_to,
     min_path_to,
-    vershik_compare,
-)
-from .transform import (
-    enumerate_paths_to,
-    iterate,
     orbit_rank,
+    path_from_out_indices,
     path_with_rank,
     predecessor,
+    step_for_out_index,
     successor,
+    vershik_compare,
 )
 from .measure import (
     ColumnDistribution,

@@ -38,10 +38,9 @@ from .montecarlo import (
     variance_experiment,
 )
 from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, code_columns, code_is_maximal,
-                    code_text)
+                    code_text, fiber_codes, rank_code)
 from .rationals import fraction_to_text, float_text, int_text, jsonable, stable_json
 from .stacking import build_stage, stage_codes
-from .transform import fiber_codes, rank_code
 
 
 def _write_file(path: str, text: str) -> None:

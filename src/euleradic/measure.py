@@ -40,9 +40,9 @@ from .paths import (
     code_is_maximal,
     code_is_minimal,
     code_text,
+    fiber_codes,
     step_for_out_index,
 )
-from .transform import fiber_codes
 
 EXACT_TAIL_BUDGET = 600  # largest level for the all-rational tail DP
 ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the bounds DP
@@ -177,7 +177,7 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     cylinder up to the extremal boundary, so its measure must match the
     predecessor's exactly.  The n+1 minimal and n+1 maximal cylinders are
     the boundary; their counts are reported rather than matched.  A fiber
-    walk (transform.fiber_codes) starts minimal and meets each predecessor
+    walk (paths.fiber_codes) starts minimal and meets each predecessor
     just before its cylinder; each distinct edge is weighed once, as integers.
     """
     require_at_least("pushforward length", n)

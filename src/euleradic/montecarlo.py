@@ -51,9 +51,8 @@ from .measure import (
     pair_drift,
     tail_threshold,
 )
-from .paths import FinitePath, path_from_out_indices
+from .paths import FinitePath, orbit_codes, path_from_out_indices
 from .rationals import jsonable, stable_json
-from .transform import orbit_codes
 
 SCHEMA_REPORT = "euleradic/report/1"
 SCHEMA_MEETING = "euleradic/meeting/1"
@@ -492,10 +491,11 @@ def birkhoff_experiment(
     closed forms (A(N, k) counted from the root), so no triangle is built.
 
     orbit_mc: samples one length-N path from cfg's replica 0 and walks its
-    successor orbit with transform.orbit_codes for a step budget, counting
+    successor orbit with paths.orbit_codes for a step budget, counting
     prefix hits.  The walk stays in the fiber of the sampled path, so this
     mode takes no column.  Hitting the fiber's maximal path before the
-    budget is reported as an exhausted orbit, not an error.
+    budget is reported as an exhausted orbit, not an error.  Its absolute
+    tolerance must lie below max(ref, 1 - ref), which no frequency reaches.
     """
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
@@ -534,6 +534,10 @@ def birkhoff_experiment(
     if cfg is None:
         raise ValueError("orbit_mc mode needs an RngConfig")
     tol = 0.1 if tolerance is None else tolerance
+    widest = max(ref, 1 - ref)
+    if tol >= widest:
+        raise InvalidArgument(f"tolerance {tol} must be below {widest}, "
+                              f"the widest deviation from {ref}")
     start = sample_path(big_level, cfg.generator(0)).digits
     want = cylinder.digits
     count = visits = 0

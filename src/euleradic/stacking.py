@@ -25,8 +25,7 @@ from math import factorial
 from typing import Iterator, Optional
 
 from .errors import InvalidArgument, require_within_cap
-from .paths import DEFAULT_ENUMERATION_CAP, FinitePath
-from .transform import successor_code
+from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, successor_code
 
 
 def _check_stage(n: int) -> None:

@@ -1,11 +1,12 @@
 """Test-side oracle of the in-edge order, written on EdgeRef objects.
 
-The package states the in-edge order once, on digit codes (min_code,
-successor_code, vershik_compare).  This module states it a second way,
-straight from the paper: the edges into (n, k) are the right-turn copies
-from (n-1, k-1) in copy order, then the left-turn copies from (n-1, k) in
-copy order.  A fiber listed by recursion over those in-edges, last edge
-first, is in Vershik order, and the tests hold the package to it.
+The package states the in-edge order once, on digit codes, in its paths
+module (min_code, successor_code, vershik_compare).  This module states it
+a second way, straight from the paper: the edges into (n, k) are the
+right-turn copies from (n-1, k-1) in copy order, then the left-turn copies
+from (n-1, k) in copy order.  A fiber listed by recursion over those
+in-edges, last edge first, is in Vershik order, and the tests hold the
+package to it.
 """
 
 from euleradic import EdgeRef, FinitePath, Turn, Vertex

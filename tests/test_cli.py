@@ -397,6 +397,8 @@ def test_usage_errors_exit_2():
     "meeting --nmax 5 --reps 10 --seed 1 --min-fraction 1.5",
     "birkhoff --cylinder L0 --level 5 --tolerance nan",
     "birkhoff --cylinder L0 --level 5 --tolerance -1",
+    # no orbit frequency lies 5/6 or more from 1/6, so this verdict cannot fail
+    "birkhoff --cylinder L0.R0 --level 8 --mode orbit_mc --budget 0 --tolerance 1 --seed 3",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:

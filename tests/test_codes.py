@@ -40,9 +40,9 @@ from euleradic import (
     stage_map,
     successor,
 )
-from euleradic.paths import code_columns, code_is_maximal, code_is_minimal, mirror_code
+from euleradic.paths import (code_columns, code_is_maximal, code_is_minimal, mirror_code,
+                             predecessor_code, rank_code, successor_code)
 from euleradic.stacking import code_index
-from euleradic.transform import predecessor_code, rank_code, successor_code
 
 from edge_order import recursive_fiber
 

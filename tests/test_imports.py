@@ -7,7 +7,9 @@ top-level imports with the names its code reads.  __init__ re-exports its
 imports and __future__ imports switch on features, so both are skipped.
 A top-level def or class that __init__ does not export has no caller
 outside the package, so some package module must read it, by name or as
-an attribute.
+an attribute.  The modules also form one stack of layers, and each
+imports only from the layers below it, so an import cycle, or a module
+that no layer names, fails here.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "euleradic"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+LAYERS = ["rationals", "errors", "graph", "paths", "stacking", "measure", "montecarlo", "cli"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -59,3 +62,20 @@ def test_internal_definitions_have_a_caller(path):
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     used = _exported() | _read_names()
     assert [name for name in defined if name not in used] == []
+
+
+def _package_imports(source: str) -> set[str]:
+    """The package modules named by the relative imports anywhere in source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    return names
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+    upward = [(path.stem, name) for path in MODULES
+              for name in sorted(_package_imports(path.read_text()))
+              if name not in LAYERS[: LAYERS.index(path.stem)]]
+    assert upward == []

@@ -115,6 +115,11 @@ def test_draw_order_is_frozen():
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, tolerance=-1),
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 5, mode="orbit_mc",
                                     cfg=cfg, tolerance=float("inf")),
+    # an absolute tolerance of max(1/6, 5/6) or more no frequency can exceed
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0.R0"), 8, mode="orbit_mc",
+                                    cfg=cfg, budget=0, tolerance=5 / 6),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0.R0"), 8, mode="orbit_mc",
+                                    cfg=cfg, budget=0, tolerance=1),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
@@ -272,19 +277,50 @@ def _biased_walk(n, width, rng):
         yield c
 
 
-@pytest.mark.parametrize("call", [
-    lambda cfg: sample_experiment(40, 20_000, cfg),
-    lambda cfg: variance_experiment(40, 20_000, cfg),
-    lambda cfg: chebyshev_experiment(40, Fraction(1, 4), 20_000, cfg),
-], ids=["sample", "variance", "chebyshev"])
-def test_biased_walk_fails_the_verdict(monkeypatch, call):
-    # criterion 11's sizes.  Two verdicts cannot see this bias, so they
-    # are no controls for it: chebyshev at criterion 11's own eps 1/2,
-    # whose tail at level 40 is too thin for 20 000 samples, and pair
-    # drift, because lowering every path's right-turn chance by 1/(m+2)
-    # leaves the gap drift at -d/(n+2)
-    monkeypatch.setattr(montecarlo, "_walk", _biased_walk)
+def _fair_coin_walk(n, width, rng):
+    # every turn a fair coin: the surplus keeps mean 0, but its variance
+    # grows like n, not (n+2)/3, and a gap's last step has drift 0, not
+    # -d/(n+2)
+    c = np.ones(width)
+    yield c
+    for m in range(n):
+        c += rng.random(width) < 0.5
+        yield c
+
+
+@pytest.mark.parametrize("walker, call", [
+    (_biased_walk, lambda cfg: sample_experiment(40, 20_000, cfg)),
+    (_biased_walk, lambda cfg: variance_experiment(40, 20_000, cfg)),
+    (_biased_walk, lambda cfg: chebyshev_experiment(40, Fraction(1, 4), 20_000, cfg)),
+    # variance 41.5 against 14 at se 1.28, 21 se: a rule 10 times looser
+    # would pass it (66 se at 20 000 samples fails that rule too)
+    (_fair_coin_walk, lambda cfg: variance_experiment(40, 2_000, cfg)),
+    # 10 gap groups; gap 7 is 0.049 against -7/32 at se 0.024, 11 se
+    (_fair_coin_walk, lambda cfg: pair_drift_experiment(30, 20_000, cfg)),
+], ids=["sample", "variance", "chebyshev", "variance-fair-coin", "pair-drift-fair-coin"])
+def test_biased_walk_fails_the_verdict(monkeypatch, walker, call):
+    # the biased walker runs at criterion 11's sizes.  Two verdicts cannot
+    # see it, so it is no control for them: chebyshev at criterion 11's own
+    # eps 1/2, whose tail at level 40 is too thin for 20 000 samples, and
+    # pair drift, because lowering every path's right-turn chance by
+    # 1/(m+2) leaves the gap drift at -d/(n+2).  A control tells the 5 se
+    # rule from a looser one only if it misses by less than the looser
+    # multiple, so the fair coin's sizes keep it there
+    monkeypatch.setattr(montecarlo, "_walk", walker)
     assert not call(RngConfig(424242, replicas=3)).passed
+
+
+def test_chebyshev_tail_above_the_bound_fails(monkeypatch):
+    # every sample in column 0 and an exact tail of 1: the empirical tail
+    # agrees with its reference (both 1, se 0), but the tail sits above
+    # the Chebyshev bound 7/50, which alone must fail the verdict
+    monkeypatch.setattr(montecarlo, "column_tail", lambda level, eps: Fraction(1))
+    monkeypatch.setattr(montecarlo, "_column_counts",
+                        lambda level, reps, cfg: np.array([reps] + [0] * level))
+    report = chebyshev_experiment(40, Fraction(1, 4), 20_000, RngConfig(1))
+    assert report.estimates["tail"] == 1.0 and report.stderr["tail"] == 0
+    assert report.exact["chebyshev_bound"] == Fraction(7, 50)
+    assert not report.passed
 
 
 # --- meetings ------------------------------------------------------------------------
@@ -442,6 +478,11 @@ def test_birkhoff_orbit_mode():
         birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="orbit_mc")
     with pytest.raises(ValueError):
         birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="bogus")
+    # a tolerance just below the widest deviation, 5/6 from 1/6, still runs
+    near = birkhoff_experiment(FinitePath.from_text("L0.R0"), 8, mode="orbit_mc",
+                               cfg=RngConfig(3), budget=0, tolerance=0.83)
+    assert near.tolerance == "absolute deviation <= 0.83"
+    assert near.passed
 
 
 def _orbit_walk_reference(cylinder, level, cfg, budget):

@@ -1,4 +1,4 @@
-"""Successor-map checks.
+"""Checks of the adic transformation, the successor map on paths.
 
 Core claims: repeated successor steps from the minimal path visit the
 fiber of its terminal vertex in the order of the in-edge recursion
@@ -34,8 +34,8 @@ from euleradic import (
 )
 from euleradic import graph
 from euleradic.graph import EulerianTriangle
+from euleradic.paths import fiber_codes
 from euleradic.rationals import int_text
-from euleradic.transform import fiber_codes
 
 from edge_order import in_edges, in_rank, recursive_fiber
 
