@@ -22,7 +22,7 @@ as soon as it ends, before the next replica's starts: sample and
 chebyshev keep a bincount of the final columns, summed in replica order;
 variance, meeting and pair drift keep the per-sample values their
 reports need (a float64 surplus, int64 meeting counts, narrow integer
-columns and gap increments), concatenated in replica order.  So a seeded
+gaps and gap increments), concatenated in replica order.  So a seeded
 experiment holds one replica's walk, 16 bytes per path, plus those
 sample-long arrays.
 """
@@ -238,14 +238,10 @@ def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     dist = column_distribution(level)
     emp = counts / reps
     worst = 0.0
-    ok = True
     for k, p in enumerate(dist.probs):
         pf = float(p)
         se = sqrt(pf * (1 - pf) / reps)
-        dev = abs(emp[k] - pf)
-        worst = max(worst, dev - 5 * se)
-        if dev > 5 * se:
-            ok = False
+        worst = max(worst, abs(emp[k] - pf) - 5 * se)
     return StatReport(
         experiment="sample",
         params={"level": level, "reps": reps},
@@ -255,7 +251,7 @@ def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
         stderr={},
         exact={"frequencies": list(dist.probs)},
         tolerance="each column frequency within 5 standard errors",
-        passed=ok,
+        passed=bool(worst <= 0),
     )
 
 
@@ -417,29 +413,27 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     compare each group's mean gap change to the exact drift -d/(n+2).
 
     Gap groups with fewer than MIN_GAP_GROUP samples are noise and are not
-    judged.  The exact reference per group comes from pair_drift and is
-    constant across the pairs in a group because the four-outcome drift
-    depends on the columns only through their gap (for gap > 0).
+    judged.  The four-outcome drift depends on the columns only through
+    their gap (for gap > 0), so the exact reference of gap group d is
+    pair_drift at columns (d, 0).
     """
     require_at_least("level", level)
-    # the least signed integer type holding -level-1 holds every column
-    # and every difference of two; a gap changes by -1, 0 or 1 in a step
-    column = np.min_scalar_type(-level - 1)
+    # the least integer type holding level holds every gap; a gap changes
+    # by -1, 0 or 1 in a step
+    gap_type = np.min_scalar_type(level)
 
     def run(rng, m):
         walk = _walk(level + 1, 2 * m, rng)
         c = next(islice(walk, level, None))
-        ka, kb = (c[:m] - 1).astype(column), (c[m:] - 1).astype(column)
-        before = c[:m] - c[m:]  # a difference of k+1 floats is exact
-        np.abs(before, out=before)
+        gap = c[:m] - c[m:]  # a difference of k+1 floats is exact
+        np.abs(gap, out=gap)
         after = next(walk)  # the same buffer, one level on
         step = after[:m] - after[m:]
         np.abs(step, out=step)
-        step -= before
-        return ka, kb, step.astype(np.int8)
+        step -= gap
+        return gap.astype(gap_type), step.astype(np.int8)
 
-    ka, kb, inc = _replicas(cfg, reps, run)
-    gap = np.abs(ka - kb)
+    gap, inc = _replicas(cfg, reps, run)
     estimates, stderr, exact = {}, {}, {}
     ok = True
     judged = 0
@@ -451,10 +445,7 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
         judged += 1
         mean = float(inc[sel].mean())
         se = float(inc[sel].std(ddof=1)) / sqrt(cnt)
-        # the exact drift at a witness state; it depends on the columns
-        # only through their gap, so one witness speaks for the group
-        w = int(np.flatnonzero(sel)[0])
-        ref = pair_drift(level, int(ka[w]), int(kb[w]))
+        ref = pair_drift(level, d, 0)  # the group's drift, read at (d, 0)
         estimates[f"gap_{d}"] = mean
         stderr[f"gap_{d}"] = se
         exact[f"gap_{d}"] = ref
@@ -511,55 +502,49 @@ def birkhoff_experiment(
     require_at_least("budget", budget)
     if tolerance is not None:
         require_threshold("tolerance", tolerance)
-    target = Vertex(big_level, col)
+    params = {"cylinder": cylinder.to_text(), "level": big_level, "column": col,
+              "mode": mode}
     if mode == "exact_stack":
         tol = 0.02 if tolerance is None else tolerance
+        target = Vertex(big_level, col)
         fiber = path_count_between(Vertex(0, 0), target)
         through = path_count_between(cylinder.terminal, target)
         freq = Fraction(through, fiber)
         rel = abs(freq - ref) / ref
-        return StatReport(
-            experiment="birkhoff",
-            params={"cylinder": cylinder.to_text(), "level": big_level,
-                    "column": col, "mode": mode},
-            rng=None,
-            estimates={"frequency": float(freq), "relative_deviation": float(rel)},
-            stderr={},
-            exact={"frequency": freq, "reference": ref},
-            tolerance=f"relative deviation <= {tol}",
-            passed=bool(rel <= tol),
-        )
-    if mode != "orbit_mc":
+        rng = None
+        estimates = {"frequency": float(freq), "relative_deviation": float(rel)}
+        exact = {"frequency": freq, "reference": ref}
+        rule = f"relative deviation <= {tol}"
+        passed = bool(rel <= tol)
+        notes = ()
+    elif mode == "orbit_mc":
+        if cfg is None:
+            raise ValueError("orbit_mc mode needs an RngConfig")
+        tol = 0.1 if tolerance is None else tolerance
+        widest = max(ref, 1 - ref)
+        if tol >= widest:
+            raise InvalidArgument(f"tolerance {tol} must be below {widest}, "
+                                  f"the widest deviation from {ref}")
+        params["budget"] = budget
+        start = sample_path(big_level, cfg.generator(0)).digits
+        want = cylinder.digits
+        count = visits = 0
+        for digits in islice(orbit_codes(start), budget + 1):
+            count += 1
+            visits += digits[: len(want)] == want
+        taken = count - 1
+        freq = visits / count
+        rng = cfg.describe()
+        estimates = {"frequency": freq, "orbit_steps": taken}
+        exact = {"reference": ref}
+        rule = f"absolute deviation <= {tol}"
+        passed = bool(abs(freq - float(ref)) <= tol)
+        notes = (f"orbit exhausted after {taken} steps",) if count <= budget else ()
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if cfg is None:
-        raise ValueError("orbit_mc mode needs an RngConfig")
-    tol = 0.1 if tolerance is None else tolerance
-    widest = max(ref, 1 - ref)
-    if tol >= widest:
-        raise InvalidArgument(f"tolerance {tol} must be below {widest}, "
-                              f"the widest deviation from {ref}")
-    start = sample_path(big_level, cfg.generator(0)).digits
-    want = cylinder.digits
-    count = visits = 0
-    for digits in islice(orbit_codes(start), budget + 1):
-        count += 1
-        visits += digits[: len(want)] == want
-    taken = count - 1
-    notes = [f"orbit exhausted after {taken} steps"] if count <= budget else []
-    freq = visits / count
-    ok = abs(freq - float(ref)) <= tol
-    return StatReport(
-        experiment="birkhoff",
-        params={"cylinder": cylinder.to_text(), "level": big_level,
-                "column": col, "mode": mode, "budget": budget},
-        rng=cfg.describe(),
-        estimates={"frequency": freq, "orbit_steps": taken},
-        stderr={},
-        exact={"reference": ref},
-        tolerance=f"absolute deviation <= {tol}",
-        passed=bool(ok),
-        notes=tuple(notes),
-    )
+    return StatReport(experiment="birkhoff", params=params, rng=rng,
+                      estimates=estimates, stderr={}, exact=exact,
+                      tolerance=rule, passed=passed, notes=notes)
 
 
 def load_expectations() -> dict:

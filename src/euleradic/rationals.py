@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 
 DEFAULT_FLOAT_DIGITS = 12
@@ -31,14 +30,18 @@ def int_text(n: int) -> str:
 
 
 def digit_count(n: int) -> int:
-    """The number of decimal digits of |n| (1 for 0)."""
-    return len(int_text(abs(n)))
+    """The number of decimal digits of |n| (1 for 0), from its bit length:
+    30102999566 / 10^11 < log10 2, so the count starts low and steps up."""
+    n = abs(n)
+    count = max(1, (n.bit_length() - 1) * 30102999566 // 10**11 + 1)
+    while n >= 10**count:
+        count += 1
+    return count
 
 
 def fraction_to_text(x: Fraction) -> str:
     """Serialize a rational as "p/q", denominator always present."""
-    f = Fraction(x)
-    return f"{int_text(f.numerator)}/{int_text(f.denominator)}"
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def float_text(x: float) -> str:
@@ -49,8 +52,6 @@ def jsonable(obj):
     """Convert nested values to JSON-safe types; Fractions become "p/q"."""
     if isinstance(obj, Fraction):
         return fraction_to_text(obj)
-    if isinstance(obj, Enum):
-        return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -59,10 +60,6 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    if hasattr(obj, "tolist"):  # numpy array
-        return jsonable(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

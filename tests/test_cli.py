@@ -12,11 +12,12 @@ from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
-from euleradic import Vertex, cli, path_count_between
+from euleradic import Turn, Vertex, cli, path_count_between
 from euleradic.cli import main
-from euleradic.rationals import digit_count, fraction_to_text, int_text
+from euleradic.rationals import digit_count, fraction_to_text, int_text, jsonable
 
 
 def _run(capsys, *argv):
@@ -86,6 +87,26 @@ def test_int_text_past_the_str_limit():
     assert int_text(0) == "0" and digit_count(0) == 1
     big = factorial(1701)
     assert fraction_to_text(Fraction(1, big)) == "1/" + int_text(big)
+
+
+def test_digit_count_matches_the_decimal_text():
+    assert digit_count(0) == 1
+    for k in range(3001):
+        for n in (10**k - 1, 10**k, 10**k + 1, 2**k):
+            digits = len(str(n))
+            assert digit_count(n) == digits and digit_count(-n) == digits
+    # the count of a refused stage 100000: no decimal conversion of 100001!
+    assert digit_count(factorial(100001)) == 456579
+
+
+def test_reports_serialize_only_what_they_hold():
+    # a numpy value or an enum that leaks into a report fails loudly
+    # instead of being coerced
+    for value in (np.int64(3), Turn.LEFT, np.arange(2)):
+        with pytest.raises(TypeError):
+            jsonable(value)
+        with pytest.raises(TypeError):
+            jsonable({"nested": [value]})
 
 
 @pytest.mark.parametrize("argv", ["orbit --vertex 2,1", "stack --stage 2"])

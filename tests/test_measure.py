@@ -9,7 +9,7 @@ surplus 0, surplus variance (n+2)/3, squared increment 4 at level 1 and
 """
 
 from fractions import Fraction
-from math import factorial
+from math import ceil, comb, factorial
 
 import numpy as np
 import pytest
@@ -474,6 +474,31 @@ def test_tail_enclosure_brackets_exact():
             lo, hi = column_tail_bounds(n, eps)
             assert lo <= exact <= hi
             assert hi - lo <= Fraction((n + 1) ** 2, 2**44)
+
+
+def _irwin_hall_tail(n, eps):
+    # the column k_n is the descent count of a uniform permutation of n+1,
+    # distributed as floor(U_1 + ... + U_{n+1}) for independent uniforms;
+    # each mirror half of the tail is the Irwin-Hall law at x + 1
+    t = min(ceil(eps * n), n + 1)
+    if t == 0:
+        return Fraction(1)
+    x = (n - t) // 2
+    half = sum((-1) ** i * comb(n + 1, i) * (x + 1 - i) ** (n + 1) for i in range(x + 1))
+    return Fraction(2 * half, factorial(n + 1))
+
+
+def test_tail_enclosure_brackets_exact_past_the_exact_budget():
+    # column_tail refuses n above 600, so the exact tail comes from the
+    # alternating sum here; eps 1/25 is the seeded chebyshev point
+    for n in (40, 600):
+        assert _irwin_hall_tail(n, Fraction(1, 10)) == column_tail(n, Fraction(1, 10))
+    n = 2500
+    for eps in (Fraction(1, 25), Fraction(1, 10)):
+        exact = _irwin_hall_tail(n, eps)
+        lo, hi = column_tail_bounds(n, eps)
+        assert 0 < exact and lo <= exact <= hi
+        assert hi - lo <= Fraction((n + 1) ** 2, 2**44)
 
 
 def _two_pass_tail_bounds(n, eps, denom_bits=44):

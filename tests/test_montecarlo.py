@@ -15,7 +15,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, nextafter
 
 import numpy as np
 import pytest
@@ -483,6 +483,24 @@ def test_birkhoff_orbit_mode():
                                cfg=RngConfig(3), budget=0, tolerance=0.83)
     assert near.tolerance == "absolute deviation <= 0.83"
     assert near.passed
+
+
+def test_birkhoff_verdicts_turn_at_the_stored_deviation():
+    # each mode passes at a tolerance equal to the deviation its report
+    # stores and fails just below it
+    cyl = FinitePath.from_text("L0.R0")
+    walk = dict(mode="orbit_mc", cfg=RngConfig(7), budget=5_000)
+    dev = abs(birkhoff_experiment(cyl, 12, **walk).estimates["frequency"] - 1 / 6)
+    assert dev > 0
+    assert birkhoff_experiment(cyl, 12, tolerance=dev, **walk).passed
+    assert not birkhoff_experiment(cyl, 12, tolerance=nextafter(dev, 0), **walk).passed
+    stack = dict(big_level=4, column=1)
+    exact = birkhoff_experiment(FinitePath.from_text("L0"), **stack).exact
+    rel = abs(exact["frequency"] - exact["reference"]) / exact["reference"]
+    assert rel > 0
+    assert birkhoff_experiment(FinitePath.from_text("L0"), tolerance=rel, **stack).passed
+    below = rel * (1 - Fraction(1, 10**9))
+    assert not birkhoff_experiment(FinitePath.from_text("L0"), tolerance=below, **stack).passed
 
 
 def _orbit_walk_reference(cylinder, level, cfg, budget):
