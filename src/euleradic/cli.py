@@ -198,12 +198,11 @@ def _cmd_meeting(args) -> int:
 
 
 def _cmd_birkhoff(args) -> int:
-    cfg = RngConfig(args.seed) if args.mode == "orbit_mc" else None
     rep = birkhoff_experiment(
         args.cylinder,
         args.level,
         mode=args.mode,
-        cfg=cfg,
+        cfg=RngConfig(args.seed),
         column=args.column,
         budget=args.budget,
         tolerance=args.tolerance,
@@ -277,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("chebyshev", _cmd_chebyshev, "tail probability vs exact and bound")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--eps", type=_fraction, required=True,
-                   help='threshold, e.g. "1/10"')
+                   help='threshold in (0, 1], e.g. "1/10"')
     _add_rng_flags(p)
 
     p = cmd("meeting", _cmd_meeting, "pair coincidence statistics")

@@ -79,12 +79,25 @@ class WeightSystem:
         return w
 
 
+def _cylinder_weight(ws: WeightSystem, digits, memo: dict) -> tuple[int, int]:
+    """(numerator, denominator) of the product of the edge weights along a
+    digit code; memo maps (level, column, index) to a weighed edge."""
+    num = den = 1
+    k = 0
+    for m, j in enumerate(digits):
+        w = memo.get((m, k, j))
+        if w is None:
+            f = ws.weight(EdgeRef(Vertex(m, k), *step_for_out_index(k, j)))
+            w = memo[m, k, j] = (f.numerator, f.denominator)
+        num *= w[0]
+        den *= w[1]
+        k += j > k
+    return num, den
+
+
 def cylinder_measure(ws: WeightSystem, p: FinitePath) -> Fraction:
     """Product of the edge weights along p; 1 for the empty path."""
-    total = Fraction(1)
-    for e in p.edges():
-        total *= ws.weight(e)
-    return total
+    return Fraction(*_cylinder_weight(ws, p.digits, {}))
 
 
 # --- invariance checks -------------------------------------------------------
@@ -184,26 +197,12 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     if ws is None:
         ws = WeightSystem.symmetric()
     weights: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def measure(digits) -> tuple[int, int]:
-        num = den = 1
-        k = 0
-        for m, j in enumerate(digits):
-            w = weights.get((m, k, j))
-            if w is None:
-                f = ws.weight(EdgeRef(Vertex(m, k), *step_for_out_index(k, j)))
-                w = weights[m, k, j] = (f.numerator, f.denominator)
-            num *= w[0]
-            den *= w[1]
-            k += j > k
-        return num, den
-
     cylinders = boundary_min = boundary_max = mismatches = 0
     first: Optional[str] = None
     for k in range(n + 1):
         for code in fiber_codes(Vertex(n, k)):
             cylinders += 1
-            p_num, p_den = measure(code)
+            p_num, p_den = _cylinder_weight(ws, code, weights)
             if code_is_maximal(code):
                 boundary_max += 1
             if code_is_minimal(code):

@@ -44,7 +44,7 @@ from .graph import EdgeRef, Turn, Vertex, eulerian_lookup, path_count_between
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
-_TOKEN = re.compile(r"^[LR]\d+$")
+_TOKEN = re.compile("[LR](0|[1-9][0-9]*)")
 
 
 class Order(Enum):
@@ -127,11 +127,10 @@ class FinitePath:
         return Vertex(len(self._digits), self._columns()[-1])
 
     def edge_at(self, i: int) -> EdgeRef:
+        if not 0 <= i < len(self._digits):
+            raise IndexBeyondPath(f"edge {i} outside path of length {len(self)}")
         k = self._columns()[i]
         return EdgeRef(Vertex(i, k), *step_for_out_index(k, self._digits[i]))
-
-    def edges(self) -> list[EdgeRef]:
-        return [self.edge_at(i) for i in range(len(self._digits))]
 
     def prefix(self, m: int) -> "FinitePath":
         if not 0 <= m <= len(self._digits):
@@ -151,7 +150,7 @@ class FinitePath:
             return cls(())
         steps = []
         for tok in text.split("."):
-            if not _TOKEN.match(tok):
+            if not _TOKEN.fullmatch(tok):
                 raise ValueError(f"bad path token {tok!r}")
             steps.append((Turn(tok[0]), int(tok[1:])))
         return cls(tuple(steps))

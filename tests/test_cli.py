@@ -400,6 +400,7 @@ def test_usage_errors_exit_2():
     "meeting --nmax -1 --reps 10 --seed 1",
     "chebyshev --level 0 --eps 1/2 --reps 10 --seed 1",
     "chebyshev --level 10 --eps 0 --reps 10 --seed 1",
+    "chebyshev --level 40 --eps 3/2 --reps 2000 --seed 1",
     "variance --level 5 --reps 10 --seed 1 --replicas 0",
     "chebyshev --level 10 --eps abc --reps 10 --seed 1",
     "birkhoff --cylinder L0 --level 5 --column 9",
@@ -413,6 +414,8 @@ def test_usage_errors_exit_2():
     "birkhoff --cylinder L0 --level 12 --mode orbit_mc --column 6",
     "sample --level 5 --reps 10 --seed -1",
     "birkhoff --cylinder L0 --level 5 --mode orbit_mc --seed -3",
+    "birkhoff --cylinder L0 --level 5 --seed -3",
+    "birkhoff --cylinder L00 --level 5",
     # a threshold no run can meet, or one NaN makes every comparison miss
     "meeting --nmax 5 --reps 10 --seed 1 --min-fraction nan",
     "meeting --nmax 5 --reps 10 --seed 1 --min-fraction 1.5",

@@ -50,6 +50,19 @@ def _all_paths(n):
     return out
 
 
+# two non-symmetric systems: one keeps both local conditions, one changes a
+# single edge weight and so breaks the pushforward identity
+def _turn_biased(e):
+    scale = Fraction(1, 3) if e.turn is Turn.LEFT else Fraction(5, 3)
+    return scale / (e.source.level + 2)
+
+
+def _poked(e):
+    if (e.source.level, e.source.column, e.turn, e.copy) == (2, 1, Turn.LEFT, 1):
+        return Fraction(1, 5)
+    return Fraction(1, e.source.level + 2)
+
+
 # --- weights and cylinders -----------------------------------------------------
 
 
@@ -81,6 +94,18 @@ def test_cylinder_measure_is_factorial_reciprocal():
         paths = _all_paths(n)
         assert all(cylinder_measure(ws, p) == Fraction(1, factorial(n + 1)) for p in paths)
         assert sum(cylinder_measure(ws, p) for p in paths) == 1
+
+
+@pytest.mark.parametrize("fn", [_turn_biased, _poked], ids=["turn-biased", "poked"])
+def test_cylinder_measure_is_the_edge_weight_product(fn):
+    # the oracle weighs each edge object of the path as a Fraction
+    ws = WeightSystem(fn.__name__, fn)
+    for n in range(7):
+        for p in _all_paths(n):
+            product = Fraction(1)
+            for i in range(n):
+                product *= ws.weight(p.edge_at(i))
+            assert cylinder_measure(ws, p) == product
 
 
 # --- invariance conditions -------------------------------------------------------
@@ -126,11 +151,7 @@ def test_diamond_violation_detected():
 def test_turn_biased_system_passes_conditions():
     # left and right bundles may carry different weights at every level and
     # still satisfy both local conditions
-    def fn(e):
-        scale = Fraction(1, 3) if e.turn is Turn.LEFT else Fraction(5, 3)
-        return scale / (e.source.level + 2)
-
-    ws = WeightSystem("turn-biased", fn)
+    ws = WeightSystem("turn-biased", _turn_biased)
     report = check_invariance_conditions(ws, 30)
     assert report.ok
     # and its cylinder measure is constant on every fiber, so the
@@ -213,12 +234,7 @@ def test_pushforward_symmetric():
 
 
 def test_pushforward_detects_perturbation():
-    def fn(e):
-        if (e.source.level, e.source.column, e.turn, e.copy) == (2, 1, Turn.LEFT, 1):
-            return Fraction(1, 5)
-        return Fraction(1, e.source.level + 2)
-
-    report = pushforward_check(4, ws=WeightSystem("poked", fn))
+    report = pushforward_check(4, ws=WeightSystem("poked", _poked))
     assert not report.ok
     assert report == PushforwardReport(
         4, 120, 5, 5, 9, "measure of L0.R0.L1.L0 != predecessor R0.L1.L0.L0"

@@ -120,6 +120,8 @@ def test_draw_order_is_frozen():
                                     cfg=cfg, budget=0, tolerance=5 / 6),
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0.R0"), 8, mode="orbit_mc",
                                     cfg=cfg, budget=0, tolerance=1),
+    # past eps 1 the tail set is empty at every level, so any walk would pass
+    lambda cfg: chebyshev_experiment(40, Fraction(3, 2), 10, cfg),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
@@ -288,6 +290,13 @@ def _fair_coin_walk(n, width, rng):
         yield c
 
 
+def _never_right_walk(n, width, rng):
+    # every path stays in column 0, the far end of the eps = 1 tail
+    c = np.ones(width)
+    for _ in range(n + 1):
+        yield c
+
+
 @pytest.mark.parametrize("walker, call", [
     (_biased_walk, lambda cfg: sample_experiment(40, 20_000, cfg)),
     (_biased_walk, lambda cfg: variance_experiment(40, 20_000, cfg)),
@@ -297,7 +306,10 @@ def _fair_coin_walk(n, width, rng):
     (_fair_coin_walk, lambda cfg: variance_experiment(40, 2_000, cfg)),
     # 10 gap groups; gap 7 is 0.049 against -7/32 at se 0.024, 11 se
     (_fair_coin_walk, lambda cfg: pair_drift_experiment(30, 20_000, cfg)),
-], ids=["sample", "variance", "chebyshev", "variance-fair-coin", "pair-drift-fair-coin"])
+    # an empirical tail of 1 against the exact 2/41!
+    (_never_right_walk, lambda cfg: chebyshev_experiment(40, Fraction(1), 2_000, cfg)),
+], ids=["sample", "variance", "chebyshev", "variance-fair-coin", "pair-drift-fair-coin",
+        "chebyshev-never-right"])
 def test_biased_walk_fails_the_verdict(monkeypatch, walker, call):
     # the biased walker runs at criterion 11's sizes.  Two verdicts cannot
     # see it, so it is no control for them: chebyshev at criterion 11's own
@@ -419,6 +431,15 @@ def test_pair_drift_experiment():
     for key, ref in report.exact.items():
         d = int(key.removeprefix("gap_"))
         assert ref == Fraction(-d, 32)
+
+
+@pytest.mark.parametrize("level, reps", [(0, 500), (1, 50), (2, 150)])
+def test_pair_drift_judging_no_gap_group_fails(level, reps):
+    # no gap group reaches MIN_GAP_GROUP samples, so nothing was checked
+    report = pair_drift_experiment(level, reps, RngConfig(43, replicas=2))
+    assert report.exact == {}
+    assert not report.passed
+    assert report.notes == ("0 gap groups judged",)
 
 
 def test_birkhoff_exact_stack():

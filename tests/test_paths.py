@@ -82,7 +82,10 @@ def test_text_round_trip():
 
 
 def test_from_text_rejects_garbage():
-    for text in ["X0", "L", "L0..R0", "L0.R", "l0", "L0,R0", "L-1"]:
+    # only the canonical text parses: no leading zero, no non-ASCII digit,
+    # no trailing newline
+    for text in ["X0", "L", "L0..R0", "L0.R", "l0", "L0,R0", "L-1",
+                 "L00", "L0.R00", "R\u0660", "L\uff10", "L0\n"]:
         with pytest.raises(ValueError):
             FinitePath.from_text(text)
 
@@ -105,6 +108,16 @@ def test_column_sequence():
         cols = [p.column_at(i) for i in range(6)]
         assert cols[0] == 0
         assert all(b - a in (0, 1) for a, b in zip(cols, cols[1:]))
+
+
+def test_edge_index_outside_the_path_is_named():
+    path = FinitePath.from_text("R0.L1.R1")
+    assert path.edge_at(2).source == Vertex(2, 1)
+    for i in (-1, 3):
+        with pytest.raises(IndexBeyondPath, match=f"edge {i} outside path of length 3"):
+            path.edge_at(i)
+    with pytest.raises(IndexBeyondPath):
+        FinitePath(()).edge_at(0)
 
 
 def test_wrapped_path_derives_columns_on_first_read(monkeypatch):
