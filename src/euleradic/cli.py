@@ -117,6 +117,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
+    require_at_least("invariance levels", args.levels, least=1)
     require_at_least("pushforward depth", args.pushforward_depth)
     inv = check_invariance_conditions(WeightSystem.symmetric(), args.levels)
     push = [pushforward_check(n) for n in range(args.pushforward_depth + 1)]

@@ -13,14 +13,13 @@ Under the symmetric measure the column sequence k_n is a Markov chain:
     P(k_{n+1} = k+1 | k_n = k) = (n-k+1)/(n+2)
 
 Everything below (column laws, moments of the turn surplus 2k_n - n, pair
-drift, tail probabilities) is computed from this kernel or from the Eulerian
-counts exactly.  The scans run on Python integers, numerators over a known
-common denominator such as (n+1)! or (n+2)^2, and build each returned
-Fraction once at the end.  The kernel route to the column law reads no
-triangle memo, so it stays an independent check of the Eulerian route.  For
-tail probabilities at levels far beyond the exact-DP budget, a certified
-enclosure runs the same recursion on integer numerators with floor and ceil
-rounding, yielding rigorous rational lower and upper bounds.
+drift, tail probabilities) is computed exactly from this kernel or from the
+Eulerian counts: Python integers over a known denominator such as (n+1)!,
+one Fraction per returned value.  The kernel is stated once
+(_kernel_weights), and one function pushes a row a level (_kernel_step) for
+both the kernel route to the column law, which reads no triangle memo and
+so checks the Eulerian route, and the certified tail enclosure beyond the
+exact-DP budget, whose int64 rows round down and up to rational bounds.
 """
 
 from __future__ import annotations
@@ -219,16 +218,27 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
 # --- the column chain --------------------------------------------------------
 
 
-def _kernel_weights(n: int, k: int) -> tuple[int, int]:
+def _kernel_weights(n: int, k):
     """Integer weights (stay k+1, step n-k+1) of the column chain at (n, k),
-    both over the denominator n+2."""
-    if not 0 <= k <= n:
-        raise ValueError(f"column {k} outside level {n}")
+    both over the denominator n+2; k is an int or an integer array."""
     return k + 1, n - k + 1
+
+
+def _kernel_step(row: np.ndarray, m: int) -> np.ndarray:
+    """Push an undivided law on columns 0..m (row's last axis) to level
+    m+1, in row's dtype (an object row stays exact Python integers); the
+    result is over m+2 times row's denominator."""
+    stay, step = _kernel_weights(m, np.arange(m + 1))
+    nxt = np.zeros(row.shape[:-1] + (m + 2,), row.dtype)
+    np.multiply(row, stay, out=nxt[..., :-1])
+    nxt[..., 1:] += row * step
+    return nxt
 
 
 def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(P(stay), P(increment)) for the column chain at (n, k)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"column {k} outside level {n}")
     stay, step = _kernel_weights(n, k)
     return Fraction(stay, n + 2), Fraction(step, n + 2)
 
@@ -261,20 +271,15 @@ def column_distribution(n: int) -> ColumnDistribution:
 def column_distribution_dp(n: int) -> ColumnDistribution:
     """Kernel route: push the law forward level by level with the kernel.
 
-    The law at level m is kept as integer numerators over (m+1)!; one step
-    multiplies each by its kernel weights (_kernel_weights, over m+2), so
-    the numerators at level m+1 are over (m+2)!.  One Fraction per column
-    is built at the end.  The full row is pushed, with no symmetry used
-    and no triangle memo read, so the two routes cross-check each other.
+    The law at level m is kept as integer numerators over (m+1)! in an
+    object array, which _kernel_step takes to level m+1, over (m+2)!.  One
+    Fraction per column is built at the end.  The full row is pushed, with
+    no symmetry used and no triangle memo read, so the two routes
+    cross-check each other.
     """
-    num = [1]
+    num = np.ones(1, dtype=object)
     for m in range(n):
-        nxt = [0] * (m + 2)
-        for k, a in enumerate(num):
-            stay, step = _kernel_weights(m, k)
-            nxt[k] += a * stay
-            nxt[k + 1] += a * step
-        num = nxt
+        num = _kernel_step(num, m)
     fact = factorial(n + 1)
     return ColumnDistribution(n, tuple(Fraction(a, fact) for a in num))
 
@@ -346,6 +351,8 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     or both stepping keeps the gap, so only the two mixed combinations
     are summed, on integers, and the sum is divided once by (n+2)^2.
     """
+    if not (0 <= k <= n and 0 <= k2 <= n):
+        raise ValueError(f"columns {k}, {k2} outside level {n}")
     stay, step = _kernel_weights(n, k)
     stay2, step2 = _kernel_weights(n, k2)
     gap = abs(k - k2)
@@ -411,21 +418,12 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     # int64 safety: entries stay near denom, coefficients below n+2
     if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:
         raise ValueError("denominator too large for int64 products at this level")
-    # one pass: row 0 rounds down (lower bound), row 1 rounds up; level m
-    # maps entries 0..m to 0..m+1 in place through the scratch rows
-    num = np.zeros((2, n + 1), dtype=np.int64)
-    num[:, 0] = denom
-    scratch = np.empty_like(num)
-    moved = np.empty_like(num)
-    stay_weight = np.arange(1, n + 2, dtype=np.int64)  # k+1 at column k
-    step_weight = np.arange(n + 1, 0, -1, dtype=np.int64)  # step_weight[n-m+k] = m+1-k
+    # one pass: row 0 rounds down (lower bound), row 1 rounds up
+    num = np.full((2, 1), denom, np.int64)
     for m in range(n):
-        w = m + 2
-        np.multiply(num[:, :w], stay_weight[:w], out=scratch[:, :w])
-        np.multiply(num[:, : w - 1], step_weight[n - m :], out=moved[:, : w - 1])
-        scratch[:, 1:w] += moved[:, : w - 1]
-        scratch[1, :w] += m + 1
-        np.floor_divide(scratch[:, :w], w, out=num[:, :w])
+        num = _kernel_step(num, m)
+        num[1] += m + 1
+        num //= m + 2
     mask = np.abs(2 * np.arange(n + 1) - n) >= tail_threshold(n, epsilon)
     lo = Fraction(int(num[0, mask].sum()), denom)
     hi = Fraction(int(num[1, mask].sum()), denom)

@@ -15,7 +15,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from euleradic import Turn, Vertex, cli, path_count_between
+from euleradic import PushforwardReport, Turn, Vertex, cli, path_count_between
 from euleradic.cli import main
 from euleradic.rationals import digit_count, fraction_to_text, int_text, jsonable
 
@@ -129,6 +129,20 @@ def test_invariance(capsys):
     assert payload["conditions"]["ok"] is True
     assert len(payload["pushforward"]) == 5
     assert all(r["ok"] for r in payload["pushforward"])
+
+
+def test_invariance_fails_on_a_pushforward_mismatch(capsys, monkeypatch):
+    def one_mismatch(n):
+        return PushforwardReport(n, 1, n + 1, n + 1, 1, "measure differs")
+
+    monkeypatch.setattr(cli, "pushforward_check", one_mismatch)
+    code, out, err = _run(
+        capsys, "invariance", "--levels", "3", "--pushforward-depth", "2"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["conditions"]["ok"] is True
+    assert [r["ok"] for r in payload["pushforward"]] == [False] * 3
 
 
 def test_moments_table(capsys):
@@ -407,6 +421,7 @@ def test_usage_errors_exit_2():
     "birkhoff --cylinder L0.L0 --level 1",
     "invariance --levels -1 --pushforward-depth -1",
     "invariance --levels 3 --pushforward-depth -1",
+    "invariance --levels 0",
     "drift --levels -1",
     "birkhoff --cylinder L0 --level 5 --mode orbit_mc --budget -5",
     "meeting --nmax 5 --reps 10 --seed 1 --min-meetings -3",

@@ -38,7 +38,7 @@ from euleradic import (
     pushforward_check,
     transition_probs,
 )
-from euleradic import graph
+from euleradic import graph, measure
 from euleradic.graph import EulerianTriangle, eulerian_row
 from euleradic.measure import ENCLOSURE_LEVEL_CAP
 
@@ -231,6 +231,16 @@ def test_pushforward_symmetric():
         assert report.boundary_minimal == n + 1
         assert report.boundary_maximal == n + 1
         assert report.mismatches == 0 and report.first_mismatch is None
+
+
+@pytest.mark.parametrize("name, stub", [
+    ("code_is_maximal", lambda d: False),
+    ("code_is_minimal", lambda d: True),
+])
+def test_pushforward_fails_on_a_wrong_boundary_count(monkeypatch, name, stub):
+    # a boundary count off level + 1 fails the check even with no mismatch
+    monkeypatch.setattr(measure, name, stub)
+    assert not pushforward_check(4).ok
 
 
 def test_pushforward_detects_perturbation():

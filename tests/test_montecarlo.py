@@ -41,7 +41,7 @@ from euleradic import (
     successor,
     variance_experiment,
 )
-from euleradic.measure import ENCLOSURE_LEVEL_CAP
+from euleradic.measure import ENCLOSURE_LEVEL_CAP, _kernel_weights
 from euleradic.montecarlo import _walk
 
 # --- rng plumbing ---------------------------------------------------------------
@@ -166,6 +166,38 @@ def test_walk_steps_without_width_sized_temporaries():
     assert peak - start < 8 * width // 4
 
 
+class _LevelDraws:
+    """Stands in for a Generator: the i-th random(out=) call fills out
+    with draws(i)."""
+
+    def __init__(self, draws):
+        self.draws, self.calls = draws, 0
+
+    def random(self, out):
+        out[:] = self.draws(self.calls)
+        self.calls += 1
+
+
+def test_walk_turns_at_the_kernel_stay_weight():
+    # path k turns right on every level below k, then stays until level m,
+    # where its uniform sits 1e-9 either side of the kernel's stay share
+    # (k+1)/(m+2): it must turn right exactly when the uniform lies above
+    below_one = nextafter(1.0, 0.0)
+    for m in range(201):
+        ks = np.arange(m + 1)
+        stay, _ = _kernel_weights(m, ks)
+        for shift, turned in ((-1e-9, 0), (1e-9, 1)):
+            def draws(level):
+                if level == m:
+                    return (stay + shift) / (m + 2)
+                return np.where(ks > level, below_one, 0.0)
+
+            walk = _walk(m + 1, m + 1, _LevelDraws(draws))
+            at_m = next(islice(walk, m, None)).copy()
+            assert np.array_equal(at_m - 1, ks)
+            assert np.array_equal(next(walk) - 1, ks + turned)
+
+
 @pytest.mark.parametrize("call, bound", [
     (lambda reps, cfg: sample_experiment(100, reps, cfg), 4.1),
     (lambda reps, cfg: chebyshev_experiment(100, Fraction(1, 4), reps, cfg), 4.1),
@@ -229,6 +261,15 @@ def test_variance_experiment():
     assert report.exact["variance"] == Fraction(52, 3)
     assert report.exact["mean"] == 0
     assert abs(report.estimates["variance"] - 52 / 3) <= 5 * report.stderr["variance"]
+
+
+def test_variance_at_level_zero_is_exactly_zero():
+    # every path has surplus 0 at level 0, so the exact variance is 0, not
+    # the (n+2)/3 that holds from level 1 on
+    report = variance_experiment(0, 50, RngConfig(3))
+    assert report.passed
+    assert report.exact["variance"] == 0
+    assert report.estimates == {"mean": 0.0, "variance": 0.0}
 
 
 def test_report_json_deterministic():
