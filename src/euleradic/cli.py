@@ -17,7 +17,6 @@ import errno
 import os
 import sys
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 from .errors import EulerAdicError, InvalidArgument, require_at_least, require_threshold
@@ -40,7 +39,7 @@ from .montecarlo import (
 from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, code_columns, code_is_maximal,
                     code_text, fiber_codes, rank_code)
 from .rationals import fraction_to_text, float_text, int_text, jsonable, stable_json
-from .stacking import build_stage, stage_codes
+from .stacking import build_stage
 
 
 def _write_file(path: str, text: str) -> None:
@@ -212,12 +211,13 @@ def _cmd_birkhoff(args) -> int:
 
 
 def _cmd_stack(args) -> int:
-    n = build_stage(args.stage, cap=args.cap).stage
-    den = factorial(n + 1)
+    layout = build_stage(args.stage, cap=args.cap)
+    n = layout.stage
     rows = ["path,level,column,lo,hi,rank,maximal"]
     hi = fraction_to_text(Fraction(0))
-    for index, code in enumerate(stage_codes(n), 1):
-        lo, hi = hi, fraction_to_text(Fraction(index, den))
+    for path, _, upper in layout.iter_intervals():
+        code = path.digits
+        lo, hi = hi, fraction_to_text(upper)  # each row formats one bound
         rows.append(
             f"{code_text(code)},{n},{code_columns(code)[-1]},{lo},{hi},"
             f"{rank_code(code)},{int(code_is_maximal(code))}"

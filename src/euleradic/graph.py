@@ -2,9 +2,11 @@
 
 Vertices live on levels n = 0, 1, 2, ... with columns 0 <= k <= n.  A vertex
 (n, k) has k+1 parallel "left turn" edges to (n+1, k) and n-k+1 parallel
-"right turn" edges to (n+1, k+1), so its out-degree is n+2.  The number of
-root-to-(n, k) edge paths is the Eulerian number A(n, k), computed here with
-arbitrary-precision integers via the recursion
+"right turn" edges to (n+1, k+1), so its out-degree is n+2.  bundle_sizes
+is the one statement of this rule; the symmetric column kernel of measure
+is it over the out-degree n+2.  The number of root-to-(n, k) edge paths is
+the Eulerian number A(n, k), computed here with arbitrary-precision
+integers via the recursion
 
     A(n+1, k) = (n-k+2) A(n, k-1) + (k+1) A(n, k),   A(0, 0) = 1.
 
@@ -74,6 +76,11 @@ class Vertex:
         return f"({self.level},{self.column})"
 
 
+def bundle_sizes(n: int, k):
+    """(left, right) bundle sizes out of (n, k); k may be an integer array."""
+    return k + 1, n - k + 1
+
+
 @dataclass(frozen=True)
 class EdgeRef:
     """One edge of the multigraph: (source, turn direction, copy index).
@@ -88,8 +95,10 @@ class EdgeRef:
     copy: int
 
     def __post_init__(self):
-        n, k = self.source.level, self.source.column
-        size = k + 1 if self.turn is Turn.LEFT else n - k + 1
+        if not isinstance(self.turn, Turn):
+            raise ValueError(f"{self.turn!r} is not a Turn")
+        left, right = bundle_sizes(self.source.level, self.source.column)
+        size = left if self.turn is Turn.LEFT else right
         if not 0 <= self.copy < size:
             raise ValueError(
                 f"copy {self.copy} outside bundle of size {size} "

@@ -15,11 +15,12 @@ Under the symmetric measure the column sequence k_n is a Markov chain:
 Everything below (column laws, moments of the turn surplus 2k_n - n, pair
 drift, tail probabilities) is computed exactly from this kernel or from the
 Eulerian counts: Python integers over a known denominator such as (n+1)!,
-one Fraction per returned value.  The kernel is stated once
-(_kernel_weights), and one function pushes a row a level (_kernel_step) for
-both the kernel route to the column law, which reads no triangle memo and
-so checks the Eulerian route, and the certified tail enclosure beyond the
-exact-DP budget, whose int64 rows round down and up to rational bounds.
+one Fraction per returned value.  The kernel is the graph's bundle rule,
+stated once by graph.bundle_sizes(n, k), over the out-degree n+2.  One
+function pushes a row a level (_kernel_step) for both the kernel route to
+the column law, which reads no triangle memo and so checks the Eulerian
+route, and the certified tail enclosure beyond the exact-DP budget, whose
+int64 rows round down and up to rational bounds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import TooLarge, require_at_least
-from .graph import EdgeRef, Turn, Vertex, eulerian_row
+from .graph import EdgeRef, Turn, Vertex, bundle_sizes, eulerian_row
 from .paths import (
     FinitePath,
     code_is_maximal,
@@ -133,7 +134,7 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     for n in range(n_max):
         for k in range(n + 1):
             v = Vertex(n, k)
-            for turn, size in ((Turn.LEFT, k + 1), (Turn.RIGHT, n - k + 1)):
+            for turn, size in zip(Turn, bundle_sizes(n, k)):
                 w0 = weight(EdgeRef(v, turn, 0))
                 num, den = w0.numerator, w0.denominator
                 parallel += 1
@@ -218,17 +219,11 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
 # --- the column chain --------------------------------------------------------
 
 
-def _kernel_weights(n: int, k):
-    """Integer weights (stay k+1, step n-k+1) of the column chain at (n, k),
-    both over the denominator n+2; k is an int or an integer array."""
-    return k + 1, n - k + 1
-
-
 def _kernel_step(row: np.ndarray, m: int) -> np.ndarray:
     """Push an undivided law on columns 0..m (row's last axis) to level
     m+1, in row's dtype (an object row stays exact Python integers); the
     result is over m+2 times row's denominator."""
-    stay, step = _kernel_weights(m, np.arange(m + 1))
+    stay, step = bundle_sizes(m, np.arange(m + 1))
     nxt = np.zeros(row.shape[:-1] + (m + 2,), row.dtype)
     np.multiply(row, stay, out=nxt[..., :-1])
     nxt[..., 1:] += row * step
@@ -239,7 +234,7 @@ def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(P(stay), P(increment)) for the column chain at (n, k)."""
     if not 0 <= k <= n:
         raise ValueError(f"column {k} outside level {n}")
-    stay, step = _kernel_weights(n, k)
+    stay, step = bundle_sizes(n, k)
     return Fraction(stay, n + 2), Fraction(step, n + 2)
 
 
@@ -277,6 +272,7 @@ def column_distribution_dp(n: int) -> ColumnDistribution:
     no symmetry used and no triangle memo read, so the two routes
     cross-check each other.
     """
+    require_at_least("level", n)
     num = np.ones(1, dtype=object)
     for m in range(n):
         num = _kernel_step(num, m)
@@ -333,7 +329,7 @@ def exact_moments(n_max: int) -> list[MomentRow]:
         rows.append(MomentRow(n, mean, var, scaled_sq, inc))
         # The increment into level n+1 weighs column k by the kernel terms
         # stay x_stay^2 + step x_step^2, with (stay, step) =
-        # _kernel_weights(n, k) = (k+1, n+1-k), x_stay = 2k-2(n+1) and
+        # bundle_sizes(n, k) = (k+1, n+1-k), x_stay = 2k-2(n+1) and
         # x_step = 2k+2: that is 4(n+2)(k+1)(n+1-k), over (n+2)!, and
         # (k+1)(n+1-k) = (n+1) + n k - k^2.
         inc_total = 4 * (n + 2) * ((n + 1) * p0 + n * p1 - p2)
@@ -353,8 +349,8 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     """
     if not (0 <= k <= n and 0 <= k2 <= n):
         raise ValueError(f"columns {k}, {k2} outside level {n}")
-    stay, step = _kernel_weights(n, k)
-    stay2, step2 = _kernel_weights(n, k2)
+    stay, step = bundle_sizes(n, k)
+    stay2, step2 = bundle_sizes(n, k2)
     gap = abs(k - k2)
     total = (step * stay2 * (abs(k + 1 - k2) - gap)
              + stay * step2 * (abs(k - k2 - 1) - gap))
@@ -383,6 +379,7 @@ def column_tail(n: int, epsilon) -> Fraction:
     of n+1 with at most x = (n-t)//2 descents: the Irwin-Hall law at x+1, an
     alternating sum of x+1 integer powers.  Only for n <= EXACT_TAIL_BUDGET.
     """
+    require_at_least("level", n)
     if n > EXACT_TAIL_BUDGET:
         raise ValueError(
             f"exact tail limited to n <= {EXACT_TAIL_BUDGET}; "
@@ -413,6 +410,7 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     (n+1)^2 / 2**ENCLOSURE_DENOM_BITS because each level adds at most one
     unit of numerator per entry.
     """
+    require_at_least("level", n)
     check_enclosure_level(n)
     denom = 1 << ENCLOSURE_DENOM_BITS
     # int64 safety: entries stay near denom, coefficients below n+2

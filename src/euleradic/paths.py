@@ -66,14 +66,7 @@ class FinitePath:
         digits = []
         k = 0
         for i, (turn, copy) in enumerate(steps):
-            if not isinstance(turn, Turn):
-                raise ValueError(f"step {i}: {turn!r} is not a Turn")
-            size = k + 1 if turn is Turn.LEFT else i - k + 1
-            if not 0 <= copy < size:
-                raise ValueError(
-                    f"step {i}: copy {copy} outside {turn.value} bundle "
-                    f"of size {size} at ({i},{k})"
-                )
+            EdgeRef(Vertex(i, k), turn, copy)  # the graph checks the step
             if turn is Turn.RIGHT:
                 digits.append(k + 1 + copy)
                 k += 1

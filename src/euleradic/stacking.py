@@ -60,11 +60,6 @@ def code_at(u: Fraction, n: int) -> tuple[int, tuple]:
     return index, tuple(digits)
 
 
-def stage_codes(n: int) -> Iterator[tuple]:
-    """Digits of every length-n path, in interval order."""
-    return product(*(range(m + 2) for m in range(n)))
-
-
 def decode_path(p: FinitePath) -> tuple[Fraction, Fraction]:
     """The half-open interval [lo, hi) assigned to p at stage len(p)."""
     den = factorial(len(p) + 1)
@@ -96,7 +91,8 @@ class StackLayout:
         """All (path, lo, hi) triples in left-to-right interval order."""
         den = factorial(self.stage + 1)
         hi = Fraction(0)
-        for index, code in enumerate(stage_codes(self.stage), 1):
+        codes = product(*(range(m + 2) for m in range(self.stage)))
+        for index, code in enumerate(codes, 1):
             lo, hi = hi, Fraction(index, den)
             yield FinitePath._trusted(code), lo, hi
 

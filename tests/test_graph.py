@@ -145,6 +145,12 @@ def test_edge_copy_validation():
         EdgeRef(Vertex(2, 1), Turn.RIGHT, 2)  # right bundle has copies 0..1
     with pytest.raises(ValueError):
         EdgeRef(Vertex(3, 0), Turn.LEFT, -1)
+    # a turn must be a Turn: a bare "L" is neither read as a right turn
+    # nor left to fail inside the error message
+    with pytest.raises(ValueError):
+        EdgeRef(Vertex(2, 1), "L", 1)
+    with pytest.raises(ValueError):
+        EdgeRef(Vertex(2, 1), "L", 2)
 
 
 def test_in_edges_order_and_ranks():

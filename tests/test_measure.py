@@ -217,6 +217,14 @@ def test_negative_counts_are_invalid_not_vacuous():
         check_invariance_conditions(WeightSystem.symmetric(), -1)
     with pytest.raises(InvalidArgument):
         pushforward_check(-1)
+    # a negative level has no column law, tail or enclosure to report
+    for call in (lambda: column_distribution_dp(-1), lambda: column_distribution_dp(-3),
+                 lambda: column_tail(-1, Fraction(1, 10)),
+                 lambda: column_tail(-5, Fraction(1, 2)),
+                 lambda: column_tail_bounds(-1, Fraction(1, 10)),
+                 lambda: column_tail_bounds(-4, Fraction(1, 10))):
+        with pytest.raises(InvalidArgument):
+            call()
     assert check_invariance_conditions(WeightSystem.symmetric(), 0).ok
 
 

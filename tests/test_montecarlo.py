@@ -41,7 +41,8 @@ from euleradic import (
     successor,
     variance_experiment,
 )
-from euleradic.measure import ENCLOSURE_LEVEL_CAP, _kernel_weights
+from euleradic.graph import bundle_sizes
+from euleradic.measure import ENCLOSURE_LEVEL_CAP
 from euleradic.montecarlo import _walk
 
 # --- rng plumbing ---------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_walk_turns_at_the_kernel_stay_weight():
     below_one = nextafter(1.0, 0.0)
     for m in range(201):
         ks = np.arange(m + 1)
-        stay, _ = _kernel_weights(m, ks)
+        stay, _ = bundle_sizes(m, ks)
         for shift, turned in ((-1e-9, 0), (1e-9, 1)):
             def draws(level):
                 if level == m:
