@@ -36,8 +36,8 @@ from .montecarlo import (
     sample_experiment,
     variance_experiment,
 )
-from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, code_columns, code_is_maximal,
-                    code_text, fiber_codes, rank_code)
+from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, code_columns, code_text, fiber_codes,
+                    rank_code, successor_bump)
 from .rationals import fraction_to_text, float_text, int_text, jsonable, stable_json
 from .stacking import build_stage
 
@@ -220,7 +220,7 @@ def _cmd_stack(args) -> int:
         lo, hi = hi, fraction_to_text(upper)  # each row formats one bound
         rows.append(
             f"{code_text(code)},{n},{code_columns(code)[-1]},{lo},{hi},"
-            f"{rank_code(code)},{int(code_is_maximal(code))}"
+            f"{rank_code(code)},{int(successor_bump(code) is None)}"
         )
     _emit("\n".join(rows) + "\n", args.out)
     return 0

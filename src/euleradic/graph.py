@@ -229,6 +229,7 @@ def path_count_between(a: Vertex, b: Vertex) -> int:
     never read.
     """
     m, j, n, k = a.level, a.column, b.level, b.column
+    # the sum is 0 when k - j > n - m as well; testing first skips up to n/2 + 1 big-int powers
     if n < m or k < j or k - j > n - m:
         return 0
     if 2 * k < n:

@@ -37,11 +37,11 @@ from .errors import TooLarge, require_at_least
 from .graph import EdgeRef, Turn, Vertex, bundle_sizes, eulerian_row
 from .paths import (
     FinitePath,
-    code_is_maximal,
-    code_is_minimal,
     code_text,
     fiber_codes,
+    predecessor_bump,
     step_for_out_index,
+    successor_bump,
 )
 
 EXACT_TAIL_BUDGET = 600  # largest level for the all-rational tail DP
@@ -203,9 +203,9 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
         for code in fiber_codes(Vertex(n, k)):
             cylinders += 1
             p_num, p_den = _cylinder_weight(ws, code, weights)
-            if code_is_maximal(code):
+            if successor_bump(code) is None:
                 boundary_max += 1
-            if code_is_minimal(code):
+            if predecessor_bump(code) is None:
                 boundary_min += 1
             elif p_num * q_den != q_num * p_den:
                 mismatches += 1
@@ -369,6 +369,7 @@ def epsilon_fraction(epsilon) -> Fraction:
 def tail_threshold(n: int, epsilon) -> int:
     """The least integer t with |2k-n| >= t iff |2k-n| >= epsilon n, capped at
     n+1; a Python int, so a huge epsilon denominator overflows no int64."""
+    # eps > 1 is accepted: the cap keeps t small enough for an int64 compare on any numpy >= 1.24
     return min(ceil(epsilon_fraction(epsilon) * n), n + 1)
 
 

@@ -19,11 +19,14 @@ minimal: their vertices have a single incoming edge.
 The order is stated once, on its least side (min_code and successor_code);
 mirror_code, which reverses it, gives the greatest side.
 
-The successor of a non-maximal path bumps its first non-maximal edge to the
-next in-rank into the same target and resets everything below to the minimal
-path into the new source; edges above stay fixed, so the terminal vertex is
-preserved.  The mirror reverses the in-edge order into every vertex, so
-T^-1 = mirror . T . mirror gives the predecessor.  Every orbit walk is
+The successor of a non-maximal path bumps its first non-maximal edge
+(successor_bump) to the next in-rank into the same target and resets
+everything below to the minimal path into the new source; edges above stay
+fixed, so the terminal vertex is preserved.  The mirror reverses the in-edge
+order into every vertex, so T^-1 = mirror . T . mirror gives the
+predecessor, on the prefix through the first non-minimal edge
+(predecessor_bump).  A path is maximal exactly when the successor finds no bump, and minimal
+exactly when the predecessor finds none.  Every orbit walk is
 orbit_codes; fiber_codes starts one at a minimal path, and
 enumerate_paths_to wraps its codes as FinitePaths.  Orbit positions within
 a fiber are ranked combinatorially: rank(p) counts the paths into the same
@@ -66,12 +69,10 @@ class FinitePath:
         digits = []
         k = 0
         for i, (turn, copy) in enumerate(steps):
-            EdgeRef(Vertex(i, k), turn, copy)  # the graph checks the step
-            if turn is Turn.RIGHT:
-                digits.append(k + 1 + copy)
+            j = _step_digit(Vertex(i, k), turn, copy)
+            digits.append(j)
+            if j > k:
                 k += 1
-            else:
-                digits.append(copy)
         self._digits = tuple(digits)
         self._cols = None
 
@@ -131,7 +132,8 @@ class FinitePath:
         return FinitePath._trusted(self._digits[:m])
 
     def extended(self, turn: Turn, copy: int) -> "FinitePath":
-        return FinitePath(self.steps + ((turn, copy),))
+        """This path and one more step; only the new step is checked."""
+        return FinitePath._trusted(self._digits + (_step_digit(self.terminal, turn, copy),))
 
     def to_text(self) -> str:
         """Canonical encoding: "R0.L1.R1"; the empty path encodes as ""."""
@@ -153,6 +155,13 @@ class FinitePath:
 
 
 # --- the digit code ---------------------------------------------------------
+
+
+def _step_digit(v: Vertex, turn: Turn, copy: int) -> int:
+    """The out-edge index of step (turn, copy) at v, once the graph has
+    checked the step: the inverse of step_for_out_index."""
+    EdgeRef(v, turn, copy)
+    return v.column + 1 + copy if turn is Turn.RIGHT else copy
 
 
 def step_for_out_index(k: int, j: int) -> tuple[Turn, int]:
@@ -191,28 +200,6 @@ def code_text(digits) -> str:
     return ".".join(f"L{j}" if j <= k else f"R{j - k - 1}" for j, k in zip(digits, cols))
 
 
-def code_is_maximal(digits) -> bool:
-    """Every edge is the greatest into its target: the top left copy k, or
-    the single right edge onto the diagonal."""
-    k = 0
-    for m, j in enumerate(digits):
-        if j != k and not (k == m and j == m + 1):
-            return False
-        k = j
-    return True
-
-
-def code_is_minimal(digits) -> bool:
-    """Every edge is the least into its target: right copy 0, or the single
-    left edge into column 0."""
-    k = 0
-    for j in digits:
-        if j != k + 1 and (j or k):
-            return False
-        k = j
-    return True
-
-
 def min_code(n: int, k: int) -> tuple:
     """Digits of the minimal path into (n, k): left copy 0 down to (n-k, 0),
     then right copy 0 along the diagonal climb."""
@@ -232,12 +219,12 @@ def mirror_code(digits) -> tuple:
 
 def is_maximal(p: FinitePath) -> bool:
     """True iff every edge has the greatest in-rank into its target."""
-    return code_is_maximal(p._digits)
+    return successor_bump(p._digits) is None
 
 
 def is_minimal(p: FinitePath) -> bool:
     """True iff every edge has the least in-rank into its target."""
-    return code_is_minimal(p._digits)
+    return predecessor_bump(p._digits) is None
 
 
 def min_path_to(v: Vertex) -> FinitePath:
@@ -276,23 +263,46 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
 # --- the adic transformation ------------------------------------------------
 
 
+def successor_bump(digits) -> tuple[int, int] | None:
+    """Level m and source column k of the first edge that is not the
+    greatest into its target (the top left copy k, or the single right edge
+    onto the diagonal): the edge the adic map moves.  None exactly on a
+    maximal path."""
+    k = 0
+    for m, j in enumerate(digits):
+        if j != k and not (k == m and j == m + 1):
+            return m, k
+        k = j  # the top left copy keeps column j, the diagonal climbs to it
+    return None
+
+
+def predecessor_bump(digits) -> int | None:
+    """Level of the first edge that is not the least into its target (right
+    copy 0, or the single left edge into column 0): the edge the inverse
+    map moves.  None exactly on a minimal path."""
+    k = 0
+    for m, j in enumerate(digits):
+        if j != k + 1 and (j or k):
+            return m
+        k = j  # right copy 0 climbs to column j, left copy 0 stays at 0
+    return None
+
+
 def successor_code(digits: tuple) -> tuple | None:
     """Digits of the successor, or None on a maximal path.
 
-    The first edge that is not the greatest into its target (the top left
-    copy k, or the single right edge onto the diagonal) moves to the next
-    in-rank: the next copy of its bundle, or from the last right copy to
-    left copy 0 out of the column to the right.  Below it the path
-    restarts minimal into the new source.
+    The successor_bump edge moves to the next in-rank: the next copy of its
+    bundle, or from the last right copy to left copy 0 out of the column to
+    the right.  Below it the path restarts minimal into the new source.
     """
-    k = 0
-    for m, j in enumerate(digits):
-        if j < k or k < j <= m:
-            return min_code(m, k) + (j + 1,) + digits[m + 1 :]
-        if j == m + 1 and k < m:
-            return min_code(m, k + 1) + (0,) + digits[m + 1 :]
-        k = j  # the top left copy keeps column j, the diagonal climbs to it
-    return None
+    bump = successor_bump(digits)
+    if bump is None:
+        return None
+    m, k = bump
+    j = digits[m]
+    if j == m + 1:
+        return min_code(m, k + 1) + (0,) + digits[m + 1 :]
+    return min_code(m, k) + (j + 1,) + digits[m + 1 :]
 
 
 def orbit_codes(digits: tuple) -> Iterator[tuple]:
@@ -319,15 +329,13 @@ def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Fi
 
 def predecessor_code(digits: tuple) -> tuple | None:
     """Digits of the predecessor, or None on a minimal path: the mirror of the
-    successor of the mirror image, on the prefix through the first edge that
-    is not the least into its target (the successor keeps the edges above)."""
-    k = 0
-    for m, j in enumerate(digits):
-        if j != k + 1 and (j or k):
-            head = successor_code(mirror_code(digits[: m + 1]))
-            return mirror_code(head) + digits[m + 1 :]
-        k = j  # right copy 0 climbs to column j, left copy 0 stays at 0
-    return None
+    successor of the mirror image, on the prefix through the predecessor_bump
+    edge (the successor keeps the edges above)."""
+    m = predecessor_bump(digits)
+    if m is None:
+        return None
+    head = successor_code(mirror_code(digits[: m + 1]))
+    return mirror_code(head) + digits[m + 1 :]
 
 
 def rank_code(digits: tuple) -> int:

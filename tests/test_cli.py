@@ -202,6 +202,8 @@ _EXACT_GOLDEN = {
         "49d20161298cf4fb90584023f39941d0946eedb6cb30f4a734ee102de1897e55",
     "birkhoff --cylinder R0.L1 --level 600":
         "9fccc359f672de84175136886aa72e19f414f4aa3ebd98c1cd91cae8ba0bae4e",
+    "stack --stage 5":
+        "4ca1f648b045201eb1bf1940a2848b093e843e7efee4acf2364d63c002af4e28",
 }
 
 

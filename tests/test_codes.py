@@ -8,7 +8,8 @@ decode_path invert each other; at every interval of stages 1..6 the
 stage map carries the r-th path of each fiber onto the (r+1)-th, with the
 fiber order taken from the recursive in-edge enumeration; and the mirror
 c -> level - c is an involution that reverses every fiber's order, so it
-conjugates successor to predecessor.
+conjugates successor to predecessor; and each bump scan finds the level
+that its step changes, and finds none exactly where the step stops.
 """
 
 import random
@@ -33,6 +34,8 @@ from euleradic import (
     eulerian,
     is_maximal,
     is_minimal,
+    max_path_to,
+    min_path_to,
     orbit_rank,
     path_from_out_indices,
     path_with_rank,
@@ -40,8 +43,8 @@ from euleradic import (
     stage_map,
     successor,
 )
-from euleradic.paths import (code_columns, code_is_maximal, code_is_minimal, mirror_code,
-                             predecessor_code, rank_code, successor_code)
+from euleradic.paths import (code_columns, mirror_code, predecessor_bump, predecessor_code,
+                             rank_code, successor_bump, successor_code)
 from euleradic.stacking import code_index
 
 from edge_order import recursive_fiber
@@ -170,7 +173,7 @@ def test_mirror_reverses_every_fiber():
             assert code_columns(mirrored)[-1] == n - k
             assert rank_code(mirrored) == eulerian(n, k) - 1 - rank_code(digits)
             assert code_index(mirrored) == factorial(n + 1) - 1 - code_index(digits)
-            assert code_is_maximal(mirrored) == code_is_minimal(digits)
+            assert (successor_bump(mirrored) is None) == (predecessor_bump(digits) is None)
             after = successor_code(mirrored)
             before = predecessor_code(digits)
             assert before == (None if after is None else mirror_code(after))
@@ -180,3 +183,38 @@ def test_mirror_reverses_every_fiber():
                 assert rank_code(before) == rank_code(digits) - 1
                 assert successor_code(before) == digits
     assert codes == sum(factorial(n + 1) for n in range(7))
+
+
+def _bump_contract(digits):
+    """Each bump is None exactly when its step is; otherwise the step keeps
+    every edge above the bump level and changes the digit there."""
+    bump, after = successor_bump(digits), successor_code(digits)
+    assert (bump is None) == (after is None)
+    if bump is not None:
+        m, k = bump
+        assert k == code_columns(digits)[m]
+        assert after[m + 1:] == digits[m + 1:] and after[m] != digits[m]
+    m, before = predecessor_bump(digits), predecessor_code(digits)
+    assert (m is None) == (before is None)
+    if m is not None:
+        assert before[m + 1:] == digits[m + 1:] and before[m] != digits[m]
+
+
+def test_bumps_locate_the_adic_step_on_every_short_code():
+    # every code of length <= 7 (46233 codes)
+    codes = 0
+    for n in range(8):
+        for digits in product(*(range(m + 2) for m in range(n))):
+            _bump_contract(digits)
+            codes += 1
+    assert codes == sum(factorial(n + 1) for n in range(8))
+
+
+def test_bumps_locate_the_adic_step_on_long_codes():
+    rng = random.Random(20261019)
+    v = Vertex(600, 300)
+    seeded = [tuple(rng.randrange(m + 2) for m in range(600)) for _ in range(200)]
+    for digits in seeded + [min_path_to(v).digits, max_path_to(v).digits]:
+        _bump_contract(digits)
+    assert predecessor_bump(min_path_to(v).digits) is None
+    assert successor_bump(max_path_to(v).digits) is None

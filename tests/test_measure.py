@@ -242,8 +242,8 @@ def test_pushforward_symmetric():
 
 
 @pytest.mark.parametrize("name, stub", [
-    ("code_is_maximal", lambda d: False),
-    ("code_is_minimal", lambda d: True),
+    ("successor_bump", lambda d: (0, 0)),  # every code non-maximal
+    ("predecessor_bump", lambda d: None),  # every code minimal
 ])
 def test_pushforward_fails_on_a_wrong_boundary_count(monkeypatch, name, stub):
     # a boundary count off level + 1 fails the check even with no mismatch

@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 
 from euleradic import (
+    EdgeRef,
     FinitePath,
     IndexBeyondPath,
     LengthMismatch,
@@ -34,6 +35,7 @@ from euleradic import (
     vershik_compare,
 )
 from euleradic import paths
+from euleradic.graph import bundle_sizes
 
 from edge_order import in_rank
 
@@ -154,6 +156,43 @@ def test_prefix_and_extended():
     turn, copy = path.steps[2]
     back = path.prefix(2).extended(turn, copy)
     assert back == path
+
+
+def _path_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_extended_matches_the_path_built_from_all_steps():
+    # every path of length <= 4 with every step and the copies just outside
+    # each bundle, then a length-600 path with the bundle ends and a bad turn
+    short = [path_from_out_indices(d)
+             for n in range(5) for d in product(*(range(m + 2) for m in range(n)))]
+    long = path_with_rank(Vertex(600, 300), 10**100)
+    for p in short + [long]:
+        sizes = bundle_sizes(len(p), p.terminal.column)
+        steps = [(turn, copy) for turn, size in zip(Turn, sizes)
+                 for copy in (range(-1, size + 1) if len(p) < 600 else (-1, 0, size - 1, size))]
+        for turn, copy in steps + [("L", 0)]:
+            got = _path_or_error(lambda: p.extended(turn, copy))
+            want = _path_or_error(lambda: FinitePath(p.steps + ((turn, copy),)))
+            assert got == want
+
+
+def test_extended_checks_only_the_new_step(monkeypatch):
+    p = path_with_rank(Vertex(600, 300), 10**100)
+    checked = []
+
+    def counting_edge(*args):
+        checked.append(args)
+        return EdgeRef(*args)
+
+    monkeypatch.setattr(paths, "EdgeRef", counting_edge)
+    q = p.extended(Turn.RIGHT, 0)
+    assert checked == [(Vertex(600, 300), Turn.RIGHT, 0)]
+    assert q.digits == p.digits + (301,) and q.terminal == Vertex(601, 301)
 
 
 def test_out_index_round_trip():
