@@ -19,8 +19,10 @@ one Fraction per returned value.  The kernel is the graph's bundle rule,
 stated once by graph.bundle_sizes(n, k), over the out-degree n+2.  One
 function pushes a row a level (_kernel_step) for both the kernel route to
 the column law, which reads no triangle memo and so checks the Eulerian
-route, and the certified tail enclosure beyond the exact-DP budget, whose
-int64 rows round down and up to rational bounds.
+route, and the certified tail enclosure beyond the exact tail's budget,
+whose int64 rows round down and up to rational bounds.  tail_reference
+chooses between the exact tail and the enclosure, and tail_columns is the
+one statement of the tail set, which the enclosure and chebyshev read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import TooLarge, require_at_least
+from .errors import InvalidArgument, TooLarge, require_at_least
 from .graph import EdgeRef, Turn, Vertex, bundle_sizes, eulerian_row
 from .paths import (
     FinitePath,
@@ -44,8 +46,8 @@ from .paths import (
     successor_bump,
 )
 
-EXACT_TAIL_BUDGET = 600  # largest level for the all-rational tail DP
-ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the bounds DP
+EXACT_TAIL_BUDGET = 600  # largest level for the exact Irwin-Hall tail
+ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the enclosure
 ENCLOSURE_LEVEL_CAP = 100_000  # keeps int64 products clear of overflow
 
 
@@ -233,7 +235,7 @@ def _kernel_step(row: np.ndarray, m: int) -> np.ndarray:
 def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(P(stay), P(increment)) for the column chain at (n, k)."""
     if not 0 <= k <= n:
-        raise ValueError(f"column {k} outside level {n}")
+        raise InvalidArgument(f"column {k} outside level {n}")
     stay, step = bundle_sizes(n, k)
     return Fraction(stay, n + 2), Fraction(step, n + 2)
 
@@ -348,7 +350,7 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     are summed, on integers, and the sum is divided once by (n+2)^2.
     """
     if not (0 <= k <= n and 0 <= k2 <= n):
-        raise ValueError(f"columns {k}, {k2} outside level {n}")
+        raise InvalidArgument(f"columns {k}, {k2} outside level {n}")
     stay, step = bundle_sizes(n, k)
     stay2, step2 = bundle_sizes(n, k2)
     gap = abs(k - k2)
@@ -373,6 +375,11 @@ def tail_threshold(n: int, epsilon) -> int:
     return min(ceil(epsilon_fraction(epsilon) * n), n + 1)
 
 
+def tail_columns(n: int, epsilon) -> np.ndarray:
+    """Boolean mask of the columns k of level n with |2k - n| >= epsilon n."""
+    return np.abs(2 * np.arange(n + 1) - n) >= tail_threshold(n, epsilon)
+
+
 def column_tail(n: int, epsilon) -> Fraction:
     """Exact P(|2 k_n - n| >= epsilon n), without the Eulerian row.
 
@@ -382,7 +389,7 @@ def column_tail(n: int, epsilon) -> Fraction:
     """
     require_at_least("level", n)
     if n > EXACT_TAIL_BUDGET:
-        raise ValueError(
+        raise InvalidArgument(
             f"exact tail limited to n <= {EXACT_TAIL_BUDGET}; "
             f"use column_tail_bounds for n = {n}"
         )
@@ -392,13 +399,6 @@ def column_tail(n: int, epsilon) -> Fraction:
     x = (n - t) // 2
     half = sum((-1) ** i * comb(n + 1, i) * (x + 1 - i) ** (n + 1) for i in range(x + 1))
     return Fraction(2 * half, factorial(n + 1))
-
-
-def check_enclosure_level(n: int) -> None:
-    """Raise TooLarge when level n lies above ENCLOSURE_LEVEL_CAP, the
-    largest level column_tail_bounds runs at."""
-    if n > ENCLOSURE_LEVEL_CAP:
-        raise TooLarge(f"level {n} above the enclosure cap {ENCLOSURE_LEVEL_CAP}")
 
 
 def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
@@ -412,7 +412,8 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     unit of numerator per entry.
     """
     require_at_least("level", n)
-    check_enclosure_level(n)
+    if n > ENCLOSURE_LEVEL_CAP:
+        raise TooLarge(f"level {n} above the enclosure cap {ENCLOSURE_LEVEL_CAP}")
     denom = 1 << ENCLOSURE_DENOM_BITS
     # int64 safety: entries stay near denom, coefficients below n+2
     if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:
@@ -423,7 +424,17 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
         num = _kernel_step(num, m)
         num[1] += m + 1
         num //= m + 2
-    mask = np.abs(2 * np.arange(n + 1) - n) >= tail_threshold(n, epsilon)
+    mask = tail_columns(n, epsilon)
     lo = Fraction(int(num[0, mask].sum()), denom)
     hi = Fraction(int(num[1, mask].sum()), denom)
     return lo, min(hi, Fraction(1))
+
+
+def tail_reference(n: int, epsilon) -> tuple[Fraction, Fraction, str]:
+    """Bounds lo <= P(|2 k_n - n| >= epsilon n) <= hi and their kind: the
+    exact tail as both bounds up to EXACT_TAIL_BUDGET, else the certified
+    enclosure, which refuses a level above ENCLOSURE_LEVEL_CAP."""
+    if n <= EXACT_TAIL_BUDGET:
+        tail = column_tail(n, epsilon)
+        return tail, tail, "exact"
+    return (*column_tail_bounds(n, epsilon), "certified enclosure")

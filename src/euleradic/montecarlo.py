@@ -42,14 +42,11 @@ import numpy as np
 from .errors import InvalidArgument, require_at_least, require_threshold
 from .graph import Vertex, path_count_between
 from .measure import (
-    EXACT_TAIL_BUDGET,
-    check_enclosure_level,
     column_distribution,
-    column_tail,
-    column_tail_bounds,
     epsilon_fraction,
     pair_drift,
-    tail_threshold,
+    tail_columns,
+    tail_reference,
 )
 from .paths import FinitePath, orbit_codes, path_from_out_indices
 from .rationals import jsonable, stable_json
@@ -294,11 +291,13 @@ def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
 def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> StatReport:
     """Tail P(|surplus/n| >= eps): empirical vs exact vs the variance bound.
 
-    The exact reference is the rational tail when the level admits the
-    all-rational DP, else the certified enclosure; the bound is
-    (n+2)/(3 n^2 eps^2).  Pass requires the exact tail (or its upper
-    bound) to sit below the bound and the empirical tail to agree with
-    the exact value within 5 standard errors plus the enclosure width.
+    The exact reference is measure.tail_reference: the exact Irwin-Hall
+    tail up to its budget, else the certified enclosure.  It is computed
+    before any draw, so a level above the enclosure cap draws nothing.
+    The bound is (n+2)/(3 n^2 eps^2).  Pass requires the exact tail (or
+    its upper bound) to sit below the bound and the empirical tail to
+    agree with the exact value within 5 standard errors plus the
+    enclosure width.
     """
     eps = epsilon_fraction(epsilon)
     require_at_least("level", level, least=1)
@@ -306,17 +305,10 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
         raise InvalidArgument(f"epsilon {eps} must be positive")
     if eps > 1:
         raise InvalidArgument(f"epsilon {eps} must be at most 1")
-    check_enclosure_level(level)
+    require_at_least("sample count", reps, least=1)
+    lo, hi, exact_kind = tail_reference(level, eps)
     counts = _column_counts(level, reps, cfg)
-    surplus = np.abs(2 * np.arange(level + 1) - level)
-    hits = int(counts[surplus >= tail_threshold(level, eps)].sum())
-    emp = hits / reps
-    if level <= EXACT_TAIL_BUDGET:
-        lo = hi = column_tail(level, eps)
-        exact_kind = "exact"
-    else:
-        lo, hi = column_tail_bounds(level, eps)
-        exact_kind = "certified enclosure"
+    emp = int(counts[tail_columns(level, eps)].sum()) / reps
     bound = Fraction(level + 2, 3 * level * level) / (eps * eps)
     below = hi < bound
     ref = float(hi)
@@ -484,8 +476,11 @@ def birkhoff_experiment(
     successor orbit with paths.orbit_codes for a step budget, counting
     prefix hits.  The walk stays in the fiber of the sampled path, so this
     mode takes no column.  Hitting the fiber's maximal path before the
-    budget is reported as an exhausted orbit, not an error.  Its absolute
-    tolerance must lie below max(ref, 1 - ref), which no frequency reaches.
+    budget is reported as an exhausted orbit, not an error.
+
+    No frequency lies further than max(ref, 1 - ref) from ref, so a
+    tolerance at that bound (over ref, for the relative deviation of
+    exact_stack) would pass every run; it is an InvalidArgument.
     """
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
@@ -501,10 +496,16 @@ def birkhoff_experiment(
     require_at_least("budget", budget)
     if tolerance is not None:
         require_threshold("tolerance", tolerance)
+    relative = mode == "exact_stack"
+    tol = (0.02 if relative else 0.1) if tolerance is None else tolerance
+    deviation = "relative deviation" if relative else "absolute deviation"
+    widest = max(ref, 1 - ref) / (ref if relative else 1)
+    if tol >= widest:
+        raise InvalidArgument(f"tolerance {tol} must be below {widest}, "
+                              f"the widest {deviation} from {ref}")
     params = {"cylinder": cylinder.to_text(), "level": big_level, "column": col,
               "mode": mode}
-    if mode == "exact_stack":
-        tol = 0.02 if tolerance is None else tolerance
+    if relative:
         target = Vertex(big_level, col)
         fiber = path_count_between(Vertex(0, 0), target)
         through = path_count_between(cylinder.terminal, target)
@@ -513,17 +514,11 @@ def birkhoff_experiment(
         rng = None
         estimates = {"frequency": float(freq), "relative_deviation": float(rel)}
         exact = {"frequency": freq, "reference": ref}
-        rule = f"relative deviation <= {tol}"
         passed = bool(rel <= tol)
         notes = ()
     elif mode == "orbit_mc":
         if cfg is None:
             raise ValueError("orbit_mc mode needs an RngConfig")
-        tol = 0.1 if tolerance is None else tolerance
-        widest = max(ref, 1 - ref)
-        if tol >= widest:
-            raise InvalidArgument(f"tolerance {tol} must be below {widest}, "
-                                  f"the widest deviation from {ref}")
         params["budget"] = budget
         start = sample_path(big_level, cfg.generator(0)).digits
         want = cylinder.digits
@@ -536,14 +531,13 @@ def birkhoff_experiment(
         rng = cfg.describe()
         estimates = {"frequency": freq, "orbit_steps": taken}
         exact = {"reference": ref}
-        rule = f"absolute deviation <= {tol}"
         passed = bool(abs(freq - float(ref)) <= tol)
         notes = (f"orbit exhausted after {taken} steps",) if count <= budget else ()
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return StatReport(experiment="birkhoff", params=params, rng=rng,
                       estimates=estimates, stderr={}, exact=exact,
-                      tolerance=rule, passed=passed, notes=notes)
+                      tolerance=f"{deviation} <= {tol}", passed=passed, notes=notes)
 
 
 def load_expectations() -> dict:

@@ -16,8 +16,11 @@ every edge has the greatest (least) in-rank among the edges into its
 target.  Note the all-left and all-right paths are both maximal and
 minimal: their vertices have a single incoming edge.
 
-The order is stated once, on its least side (min_code and successor_code);
-mirror_code, which reverses it, gives the greatest side.
+The order is written on its least side by min_code and successor_code, and
+again by each one-pass scan that reads it: successor_bump, predecessor_bump,
+vershik_compare, rank_code and path_with_rank.  The test oracle
+(tests/edge_order.py) states it a second way and holds each of those to it.
+mirror_code, which reverses the order, gives the greatest side.
 
 The successor of a non-maximal path bumps its first non-maximal edge
 (successor_bump) to the next in-rank into the same target and resets

@@ -440,6 +440,8 @@ def test_usage_errors_exit_2():
     "birkhoff --cylinder L0 --level 5 --tolerance -1",
     # no orbit frequency lies 5/6 or more from 1/6, so this verdict cannot fail
     "birkhoff --cylinder L0.R0 --level 8 --mode orbit_mc --budget 0 --tolerance 1 --seed 3",
+    # no frequency deviates from 1/2 by more than 1/2, a relative deviation of 1
+    "birkhoff --cylinder R0 --level 1 --column 0 --tolerance 1",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:

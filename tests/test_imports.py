@@ -79,3 +79,20 @@ def test_modules_import_only_lower_layers():
               for name in sorted(_package_imports(path.read_text()))
               if name not in LAYERS[: LAYERS.index(path.stem)]]
     assert upward == []
+
+
+TAIL_ROUTE_NAMES = {"EXACT_TAIL_BUDGET", "ENCLOSURE_LEVEL_CAP", "ENCLOSURE_DENOM_BITS"}
+
+
+def test_only_measure_reads_the_tail_route_constants():
+    # measure.tail_reference chooses between the exact tail and the
+    # enclosure; a second reader of their limits would be a second choice
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names}
+            if names & TAIL_ROUTE_NAMES:
+                readers.add(path.stem)
+    assert readers <= {"measure"}

@@ -228,6 +228,16 @@ def test_negative_counts_are_invalid_not_vacuous():
     assert check_invariance_conditions(WeightSystem.symmetric(), 0).ok
 
 
+def test_out_of_domain_column_arguments_are_invalid():
+    # a column outside its level, and a level above the exact tail budget
+    for call in (lambda: transition_probs(-1, 0), lambda: transition_probs(3, 4),
+                 lambda: pair_drift(-1, 0, 0), lambda: pair_drift(2, 3, 0),
+                 lambda: pair_drift(2, 0, -1),
+                 lambda: column_tail(601, Fraction(1, 10))):
+        with pytest.raises(InvalidArgument):
+            call()
+
+
 # --- pushforward -----------------------------------------------------------------
 
 
@@ -498,6 +508,25 @@ def test_float_epsilon_reads_as_its_decimal(n, eps):
     assert column_tail(n, eps) == column_tail(n, exact)
     assert column_tail_bounds(n, eps) == column_tail_bounds(n, exact)
     assert column_distribution(n).tail(eps) == column_distribution(n).tail(exact)
+
+
+def test_tail_columns_match_fraction_arithmetic():
+    # 1/3 + 10**-40: a denominator beyond any float or int64
+    epsilons = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                Fraction(1, 3) + Fraction(1, 10**40))
+    for n in range(41):
+        for eps in epsilons:
+            want = [abs(2 * k - n) >= eps * n for k in range(n + 1)]
+            assert measure.tail_columns(n, eps).tolist() == want
+
+
+def test_tail_reference_switches_at_the_exact_budget():
+    eps = Fraction(1, 10)
+    assert measure.EXACT_TAIL_BUDGET == 600
+    tail = column_tail(600, eps)
+    assert measure.tail_reference(600, eps) == (tail, tail, "exact")
+    assert measure.tail_reference(601, eps) == (*column_tail_bounds(601, eps),
+                                                "certified enclosure")
 
 
 def test_tail_enclosure_brackets_exact():

@@ -20,7 +20,7 @@ from math import factorial, nextafter
 import numpy as np
 import pytest
 
-from euleradic import graph, montecarlo
+from euleradic import graph, measure, montecarlo
 from euleradic import (
     FinitePath,
     InvalidArgument,
@@ -123,6 +123,9 @@ def test_draw_order_is_frozen():
                                     cfg=cfg, budget=0, tolerance=1),
     # past eps 1 the tail set is empty at every level, so any walk would pass
     lambda cfg: chebyshev_experiment(40, Fraction(3, 2), 10, cfg),
+    # a relative deviation of max(1/24, 23/24) / (1/24) = 23 or more likewise
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0.R0.L1"), 3, column=1,
+                                    tolerance=100.0),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
@@ -309,6 +312,17 @@ def test_chebyshev_above_enclosure_cap_draws_nothing(monkeypatch):
         chebyshev_experiment(ENCLOSURE_LEVEL_CAP + 1, Fraction(1, 10), 1, RngConfig(1))
 
 
+def test_chebyshev_refuses_no_samples_before_any_reference(monkeypatch):
+    # the enclosure at the cap runs for seconds, so a sample count of 0
+    # is refused before the reference is computed
+    def no_enclosure(*args):
+        raise AssertionError("computed a reference for a run that draws nothing")
+
+    monkeypatch.setattr(measure, "column_tail_bounds", no_enclosure)
+    with pytest.raises(InvalidArgument):
+        chebyshev_experiment(ENCLOSURE_LEVEL_CAP, Fraction(1, 10), 0, RngConfig(1))
+
+
 # --- negative controls ------------------------------------------------------------------
 
 
@@ -368,7 +382,7 @@ def test_chebyshev_tail_above_the_bound_fails(monkeypatch):
     # every sample in column 0 and an exact tail of 1: the empirical tail
     # agrees with its reference (both 1, se 0), but the tail sits above
     # the Chebyshev bound 7/50, which alone must fail the verdict
-    monkeypatch.setattr(montecarlo, "column_tail", lambda level, eps: Fraction(1))
+    monkeypatch.setattr(measure, "column_tail", lambda level, eps: Fraction(1))
     monkeypatch.setattr(montecarlo, "_column_counts",
                         lambda level, reps, cfg: np.array([reps] + [0] * level))
     report = chebyshev_experiment(40, Fraction(1, 4), 20_000, RngConfig(1))
@@ -498,11 +512,20 @@ def test_birkhoff_exact_stack():
         birkhoff_experiment(FinitePath.from_text("L0.L0"), 1)
 
 
+def test_birkhoff_exact_stack_tolerance_below_the_widest_runs():
+    # L0 at (1, 1) is a complete miss, frequency 0 against 1/2: a relative
+    # deviation of 1, which a tolerance just below 1 still fails
+    report = birkhoff_experiment(FinitePath.from_text("L0"), 1, column=1, tolerance=0.99)
+    assert report.tolerance == "relative deviation <= 0.99"
+    assert report.exact["frequency"] == 0
+    assert not report.passed
+
+
 def test_birkhoff_exact_stack_full_length_cylinder():
     # a cylinder as long as the stack level is hit by exactly one path
     cyl = FinitePath.from_text("L0.R0.L1")
     assert cyl.terminal == Vertex(3, 1)
-    report = birkhoff_experiment(cyl, 3, column=1, tolerance=100.0)
+    report = birkhoff_experiment(cyl, 3, column=1)
     assert report.exact["frequency"] == Fraction(1, eulerian(3, 1))
 
 

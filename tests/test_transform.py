@@ -17,6 +17,7 @@ from euleradic import (
     MaximalPath,
     MinimalPath,
     OrbitOverflow,
+    Order,
     TooLarge,
     Vertex,
     enumerate_paths_to,
@@ -31,10 +32,11 @@ from euleradic import (
     path_with_rank,
     predecessor,
     successor,
+    vershik_compare,
 )
 from euleradic import graph
 from euleradic.graph import EulerianTriangle
-from euleradic.paths import fiber_codes
+from euleradic.paths import fiber_codes, predecessor_bump, rank_code, successor_bump
 from euleradic.rationals import int_text
 
 from edge_order import in_edges, in_rank, recursive_fiber
@@ -71,6 +73,21 @@ def test_fiber_codes_match_enumeration():
         listed = recursive_fiber(v)
         assert list(fiber_codes(v)) == [p.digits for p in listed]
         assert enumerate_paths_to(v) == listed
+
+
+def test_each_writer_of_the_in_edge_order_follows_the_oracle():
+    # paths writes the order in five places; each is held to the oracle's
+    # recursive fiber directly, not through another writer
+    for v in _vertices(5):
+        fiber = recursive_fiber(v)
+        last = len(fiber) - 1
+        for i, path in enumerate(fiber):
+            assert (successor_bump(path.digits) is None) == (i == last)
+            assert (predecessor_bump(path.digits) is None) == (i == 0)
+            assert rank_code(path.digits) == i
+            assert path_with_rank(v, i) == path
+            if i < last:
+                assert vershik_compare(path, fiber[i + 1]) is Order.LESS
 
 
 def test_fiber_codes_cap_matches_enumeration():
