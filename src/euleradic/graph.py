@@ -18,9 +18,8 @@ even row below it.
 
 Incoming edges of a vertex carry a total order (the in-rank): the right-turn
 copies from (n-1, k-1) come first, in copy order, followed by the left-turn
-copies from (n-1, k), in copy order.  It is stated in code once, on the
-digit codes in paths: min_code and successor_code step through it, and
-vershik_compare compares by it.
+copies from (n-1, k), in copy order.  It is written on the digit codes in
+paths; the paths docstring lists where.
 
 Paths between any two vertices have a closed form.  A path from (m, j) to
 (n, k) inserts the letters m+2, ..., n+1 one at a time into a fixed

@@ -41,7 +41,7 @@ from .paths import (
     FinitePath,
     code_text,
     fiber_codes,
-    predecessor_bump,
+    mirror_code,
     step_for_out_index,
     successor_bump,
 )
@@ -191,9 +191,10 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     Every non-minimal cylinder C has T^{-1}C equal to the predecessor
     cylinder up to the extremal boundary, so its measure must match the
     predecessor's exactly.  The n+1 minimal and n+1 maximal cylinders are
-    the boundary; their counts are reported rather than matched.  A fiber
-    walk (paths.fiber_codes) starts minimal and meets each predecessor
-    just before its cylinder; each distinct edge is weighed once, as integers.
+    the boundary; their counts are reported rather than matched.  Each
+    cylinder is matched with the one before it in its own fiber walk
+    (paths.fiber_codes), which starts minimal, so the extremal scans only
+    count the boundary; each distinct edge is weighed once, as integers.
     """
     require_at_least("pushforward length", n)
     if ws is None:
@@ -202,14 +203,13 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     cylinders = boundary_min = boundary_max = mismatches = 0
     first: Optional[str] = None
     for k in range(n + 1):
+        prev = None
         for code in fiber_codes(Vertex(n, k)):
             cylinders += 1
             p_num, p_den = _cylinder_weight(ws, code, weights)
-            if successor_bump(code) is None:
-                boundary_max += 1
-            if predecessor_bump(code) is None:
-                boundary_min += 1
-            elif p_num * q_den != q_num * p_den:
+            boundary_max += successor_bump(code) is None
+            boundary_min += successor_bump(mirror_code(code)) is None
+            if prev is not None and p_num * q_den != q_num * p_den:
                 mismatches += 1
                 if first is None:
                     first = (f"measure of {code_text(code)} != predecessor "
@@ -250,12 +250,6 @@ class ColumnDistribution:
     def __post_init__(self):
         if sum(self.probs) != 1:
             raise ValueError(f"column law at level {self.level} does not sum to 1")
-
-    def tail(self, epsilon: Fraction) -> Fraction:
-        """P(|2 k_n - n| >= epsilon * n), exactly."""
-        n, eps = self.level, epsilon_fraction(epsilon)
-        hits = (p for k, p in enumerate(self.probs) if abs(2 * k - n) >= eps * n)
-        return sum(hits, Fraction(0))
 
 
 def column_distribution(n: int) -> ColumnDistribution:

@@ -482,6 +482,8 @@ def birkhoff_experiment(
     tolerance at that bound (over ref, for the relative deviation of
     exact_stack) would pass every run; it is an InvalidArgument.
     """
+    if mode not in ("exact_stack", "orbit_mc"):
+        raise InvalidArgument(f"unknown mode {mode!r}")
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
     require_at_least("level", big_level)
@@ -516,9 +518,9 @@ def birkhoff_experiment(
         exact = {"frequency": freq, "reference": ref}
         passed = bool(rel <= tol)
         notes = ()
-    elif mode == "orbit_mc":
+    else:
         if cfg is None:
-            raise ValueError("orbit_mc mode needs an RngConfig")
+            raise InvalidArgument("orbit_mc mode needs an RngConfig")
         params["budget"] = budget
         start = sample_path(big_level, cfg.generator(0)).digits
         want = cylinder.digits
@@ -533,8 +535,6 @@ def birkhoff_experiment(
         exact = {"reference": ref}
         passed = bool(abs(freq - float(ref)) <= tol)
         notes = (f"orbit exhausted after {taken} steps",) if count <= budget else ()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return StatReport(experiment="birkhoff", params=params, rng=rng,
                       estimates=estimates, stderr={}, exact=exact,
                       tolerance=f"{deviation} <= {tol}", passed=passed, notes=notes)

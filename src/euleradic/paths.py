@@ -17,24 +17,23 @@ target.  Note the all-left and all-right paths are both maximal and
 minimal: their vertices have a single incoming edge.
 
 The order is written on its least side by min_code and successor_code, and
-again by each one-pass scan that reads it: successor_bump, predecessor_bump,
-vershik_compare, rank_code and path_with_rank.  The test oracle
-(tests/edge_order.py) states it a second way and holds each of those to it.
-mirror_code, which reverses the order, gives the greatest side.
+again by each one-pass scan that reads it: successor_bump, vershik_compare,
+rank_code and path_with_rank.  The test oracle (tests/edge_order.py) states
+it a second way and holds each of those to it.  mirror_code, which reverses
+the order, gives the greatest side.
 
 The successor of a non-maximal path bumps its first non-maximal edge
 (successor_bump) to the next in-rank into the same target and resets
 everything below to the minimal path into the new source; edges above stay
 fixed, so the terminal vertex is preserved.  The mirror reverses the in-edge
-order into every vertex, so T^-1 = mirror . T . mirror gives the
-predecessor, on the prefix through the first non-minimal edge
-(predecessor_bump).  A path is maximal exactly when the successor finds no bump, and minimal
-exactly when the predecessor finds none.  Every orbit walk is
-orbit_codes; fiber_codes starts one at a minimal path, and
-enumerate_paths_to wraps its codes as FinitePaths.  Orbit positions within
-a fiber are ranked combinatorially: rank(p) counts the paths into the same
-terminal vertex that are strictly smaller, via the Eulerian counts of the
-sources of lower-ranked in-edges.
+order into every vertex, so T^-1 = mirror . T . mirror is the predecessor,
+read off the whole code.  A path is maximal exactly when successor_bump
+finds no bump, and minimal exactly when it finds none on the mirror image.
+Every orbit walk is orbit_codes; fiber_codes starts one at a minimal path,
+and enumerate_paths_to wraps its codes as FinitePaths.  Orbit positions
+within a fiber are ranked combinatorially: rank(p) counts the paths into
+the same terminal vertex that are strictly smaller, via the Eulerian counts
+of the sources of lower-ranked in-edges.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from enum import Enum
 from operator import sub
 from typing import Iterator
 
-from .errors import (IndexBeyondPath, LengthMismatch, MaximalPath, MinimalPath, OrbitOverflow,
-                     require_within_cap)
+from .errors import (IndexBeyondPath, InvalidArgument, LengthMismatch, MaximalPath, MinimalPath,
+                     OrbitOverflow, require_within_cap)
 from .graph import EdgeRef, Turn, Vertex, eulerian_lookup, path_count_between
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -182,7 +181,7 @@ def path_from_out_indices(indices) -> FinitePath:
     digits = tuple(indices)
     for m, j in enumerate(digits):
         if not 0 <= j < m + 2:
-            raise ValueError(f"level {m}: out-edge index {j} outside [0, {m + 2})")
+            raise InvalidArgument(f"level {m}: out-edge index {j} outside [0, {m + 2})")
     return FinitePath._trusted(digits)
 
 
@@ -227,7 +226,7 @@ def is_maximal(p: FinitePath) -> bool:
 
 def is_minimal(p: FinitePath) -> bool:
     """True iff every edge has the least in-rank into its target."""
-    return predecessor_bump(p._digits) is None
+    return successor_bump(mirror_code(p._digits)) is None
 
 
 def min_path_to(v: Vertex) -> FinitePath:
@@ -279,18 +278,6 @@ def successor_bump(digits) -> tuple[int, int] | None:
     return None
 
 
-def predecessor_bump(digits) -> int | None:
-    """Level of the first edge that is not the least into its target (right
-    copy 0, or the single left edge into column 0): the edge the inverse
-    map moves.  None exactly on a minimal path."""
-    k = 0
-    for m, j in enumerate(digits):
-        if j != k + 1 and (j or k):
-            return m
-        k = j  # right copy 0 climbs to column j, left copy 0 stays at 0
-    return None
-
-
 def successor_code(digits: tuple) -> tuple | None:
     """Digits of the successor, or None on a maximal path.
 
@@ -331,14 +318,10 @@ def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Fi
 
 
 def predecessor_code(digits: tuple) -> tuple | None:
-    """Digits of the predecessor, or None on a minimal path: the mirror of the
-    successor of the mirror image, on the prefix through the predecessor_bump
-    edge (the successor keeps the edges above)."""
-    m = predecessor_bump(digits)
-    if m is None:
-        return None
-    head = successor_code(mirror_code(digits[: m + 1]))
-    return mirror_code(head) + digits[m + 1 :]
+    """Digits of the predecessor, or None on a minimal path: the mirror of
+    the successor of the mirror image."""
+    after = successor_code(mirror_code(digits))
+    return None if after is None else mirror_code(after)
 
 
 def rank_code(digits: tuple) -> int:

@@ -51,7 +51,7 @@ def code_at(u: Fraction, n: int) -> tuple[int, tuple]:
     _check_stage(n)
     num, den = u.numerator, u.denominator
     if not 0 <= num < den:
-        raise ValueError(f"point {u} outside [0,1)")
+        raise InvalidArgument(f"point {u} outside [0,1)")
     index = num * factorial(n + 1) // den
     digits = [0] * n
     rest = index

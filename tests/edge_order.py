@@ -2,12 +2,12 @@
 
 The package writes the in-edge order on digit codes in its paths module:
 min_code and successor_code, and the one-pass scans successor_bump,
-predecessor_bump, vershik_compare, rank_code and path_with_rank.  This
-module states it a second way, straight from the paper: the edges into
-(n, k) are the right-turn copies from (n-1, k-1) in copy order, then the
-left-turn copies from (n-1, k) in copy order.  A fiber listed by recursion
-over those in-edges, last edge first, is in Vershik order, and the tests
-hold each of those writers to it.
+vershik_compare, rank_code and path_with_rank; the predecessor and
+minimality come through the mirror.  This module states it a second way,
+straight from the paper: the edges into (n, k) are the right-turn copies
+from (n-1, k-1) in copy order, then the left-turn copies from (n-1, k) in
+copy order.  A fiber listed by recursion over those in-edges, last edge
+first, is in Vershik order, and the tests hold each of those writers to it.
 """
 
 from euleradic import EdgeRef, FinitePath, Turn, Vertex

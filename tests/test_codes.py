@@ -43,8 +43,8 @@ from euleradic import (
     stage_map,
     successor,
 )
-from euleradic.paths import (code_columns, mirror_code, predecessor_bump, predecessor_code,
-                             rank_code, successor_bump, successor_code)
+from euleradic.paths import (code_columns, mirror_code, predecessor_code, rank_code,
+                             successor_bump, successor_code)
 from euleradic.stacking import code_index
 
 from edge_order import recursive_fiber
@@ -129,7 +129,7 @@ def test_invalid_steps_rejected():
 
 def test_invalid_digits_rejected():
     for digits in ([2], [0, 3], [-1], [1, 0, 4]):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             path_from_out_indices(digits)
 
 
@@ -173,7 +173,6 @@ def test_mirror_reverses_every_fiber():
             assert code_columns(mirrored)[-1] == n - k
             assert rank_code(mirrored) == eulerian(n, k) - 1 - rank_code(digits)
             assert code_index(mirrored) == factorial(n + 1) - 1 - code_index(digits)
-            assert (successor_bump(mirrored) is None) == (predecessor_bump(digits) is None)
             after = successor_code(mirrored)
             before = predecessor_code(digits)
             assert before == (None if after is None else mirror_code(after))
@@ -194,9 +193,10 @@ def _bump_contract(digits):
         m, k = bump
         assert k == code_columns(digits)[m]
         assert after[m + 1:] == digits[m + 1:] and after[m] != digits[m]
-    m, before = predecessor_bump(digits), predecessor_code(digits)
-    assert (m is None) == (before is None)
-    if m is not None:
+    bump, before = successor_bump(mirror_code(digits)), predecessor_code(digits)
+    assert (bump is None) == (before is None)
+    if bump is not None:
+        m = bump[0]
         assert before[m + 1:] == digits[m + 1:] and before[m] != digits[m]
 
 
@@ -216,5 +216,5 @@ def test_bumps_locate_the_adic_step_on_long_codes():
     seeded = [tuple(rng.randrange(m + 2) for m in range(600)) for _ in range(200)]
     for digits in seeded + [min_path_to(v).digits, max_path_to(v).digits]:
         _bump_contract(digits)
-    assert predecessor_bump(min_path_to(v).digits) is None
+    assert is_minimal(min_path_to(v))
     assert successor_bump(max_path_to(v).digits) is None

@@ -7,7 +7,9 @@ top-level imports with the names its code reads.  __init__ re-exports its
 imports and __future__ imports switch on features, so both are skipped.
 A top-level def or class that __init__ does not export has no caller
 outside the package, so some package module must read it, by name or as
-an attribute.  The modules also form one stack of layers, and each
+an attribute.  A method or property of a package class must likewise be
+read as an attribute in the package or the benchmark, or be named in KEPT
+with its reason.  The modules also form one stack of layers, and each
 imports only from the layers below it, so an import cycle, or a module
 that no layer names, fails here.
 """
@@ -62,6 +64,45 @@ def test_internal_definitions_have_a_caller(path):
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     used = _exported() | _read_names()
     assert [name for name in defined if name not in used] == []
+
+
+BENCH = PACKAGE.parents[1] / "bench"
+
+# public methods kept without a reader in the package or the benchmark: the
+# edge and step views of a path that a weight function or a caller working
+# in (turn, copy) steps needs
+KEPT = {
+    "EdgeRef.target": "a weight function may weigh an edge by its target",
+    "FinitePath.steps": "the (turn, copy) step form that FinitePath(steps) takes",
+    "FinitePath.column_at": "the column of a path at a level, for step-form callers",
+    "FinitePath.edge_at": "the edge object a weight function takes, at a level",
+    "FinitePath.extended": "one step appended in step form, checking only that step",
+    "StackLayout.interval_width": "the width 1/(n+1)! of a stage's intervals",
+}
+
+
+def _methods() -> list[str]:
+    """Class.name of every non-dunder method or property of a package class."""
+    found = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{cls.name}.{n.name}" for n in cls.body
+                          if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not (n.name.startswith("__") and n.name.endswith("__"))]
+    return found
+
+
+def test_methods_have_a_reader():
+    # a method is read as an attribute somewhere in the package or the
+    # benchmark, or kept on purpose; a kept one that gains a reader or goes
+    # away leaves KEPT
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]:
+        read |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Attribute)}
+    unread = [m for m in _methods() if m.split(".")[1] not in read]
+    assert sorted(unread) == sorted(KEPT)
 
 
 def _package_imports(source: str) -> set[str]:

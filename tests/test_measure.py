@@ -252,13 +252,29 @@ def test_pushforward_symmetric():
 
 
 @pytest.mark.parametrize("name, stub", [
-    ("successor_bump", lambda d: (0, 0)),  # every code non-maximal
-    ("predecessor_bump", lambda d: None),  # every code minimal
+    ("successor_bump", lambda d: (0, 0)),  # every code non-maximal, and non-minimal
+    ("mirror_code", lambda d: ()),  # every code minimal
 ])
 def test_pushforward_fails_on_a_wrong_boundary_count(monkeypatch, name, stub):
     # a boundary count off level + 1 fails the check even with no mismatch
     monkeypatch.setattr(measure, name, stub)
     assert not pushforward_check(4).ok
+
+
+def test_pushforward_report_needs_each_boundary_count():
+    # each clause of ok on its own: one count off, the other right
+    assert PushforwardReport(4, 120, 5, 5, 0, None).ok
+    assert not PushforwardReport(4, 120, 4, 5, 0, None).ok
+    assert not PushforwardReport(4, 120, 5, 4, 0, None).ok
+
+
+def test_pushforward_matches_within_each_fiber_whatever_the_scans_say(monkeypatch):
+    # no code minimal: each cylinder is still matched with the one before it
+    # in its own fiber walk, and only the boundary count fails
+    monkeypatch.setattr(measure, "mirror_code", lambda d: (0, 1))
+    report = pushforward_check(3)
+    assert (report.boundary_minimal, report.boundary_maximal, report.mismatches) == (0, 4, 0)
+    assert not report.ok
 
 
 def test_pushforward_detects_perturbation():
@@ -479,7 +495,8 @@ def test_tail_exact_routes_agree():
         dist = column_distribution(n)
         # 1/10**20: a denominator beyond int64
         for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2), Fraction(1, 10**20)):
-            assert column_tail(n, eps) == dist.tail(eps)
+            hits = (p for k, p in enumerate(dist.probs) if abs(2 * k - n) >= eps * n)
+            assert column_tail(n, eps) == sum(hits, Fraction(0))
         assert column_tail(n, Fraction(3)) == 0
 
 
@@ -507,7 +524,6 @@ def test_float_epsilon_reads_as_its_decimal(n, eps):
     exact = Fraction(str(eps))
     assert column_tail(n, eps) == column_tail(n, exact)
     assert column_tail_bounds(n, eps) == column_tail_bounds(n, exact)
-    assert column_distribution(n).tail(eps) == column_distribution(n).tail(exact)
 
 
 def test_tail_columns_match_fraction_arithmetic():

@@ -126,6 +126,8 @@ def test_draw_order_is_frozen():
     # a relative deviation of max(1/24, 23/24) / (1/24) = 23 or more likewise
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0.R0.L1"), 3, column=1,
                                     tolerance=100.0),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="orbit_mc"),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="bogus", cfg=cfg),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
@@ -564,6 +566,10 @@ def test_birkhoff_orbit_mode():
         birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="orbit_mc")
     with pytest.raises(ValueError):
         birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="bogus")
+    # the mode is checked before any argument that only a mode gives meaning
+    with pytest.raises(InvalidArgument, match="unknown mode 'bogus'"):
+        birkhoff_experiment(FinitePath.from_text("L0"), -1, mode="bogus", column=3,
+                            tolerance=2.0)
     # a tolerance just below the widest deviation, 5/6 from 1/6, still runs
     near = birkhoff_experiment(FinitePath.from_text("L0.R0"), 8, mode="orbit_mc",
                                cfg=RngConfig(3), budget=0, tolerance=0.83)

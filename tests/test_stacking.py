@@ -15,6 +15,7 @@ import pytest
 
 from euleradic import (
     FinitePath,
+    InvalidArgument,
     TooLarge,
     Vertex,
     build_stage,
@@ -103,10 +104,12 @@ def test_encode_zero_is_all_left():
 
 
 def test_encode_rejects_outside_unit():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         encode_point(1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         encode_point(Fraction(-1, 7), 3)
+    with pytest.raises(InvalidArgument):
+        stage_map(build_stage(3), Fraction(3, 2))
 
 
 def test_encode_consistent_across_stages():

@@ -36,7 +36,7 @@ from euleradic import (
 )
 from euleradic import graph
 from euleradic.graph import EulerianTriangle
-from euleradic.paths import fiber_codes, predecessor_bump, rank_code, successor_bump
+from euleradic.paths import fiber_codes, rank_code, successor_bump
 from euleradic.rationals import int_text
 
 from edge_order import in_edges, in_rank, recursive_fiber
@@ -76,14 +76,15 @@ def test_fiber_codes_match_enumeration():
 
 
 def test_each_writer_of_the_in_edge_order_follows_the_oracle():
-    # paths writes the order in five places; each is held to the oracle's
-    # recursive fiber directly, not through another writer
+    # paths writes the order in four places; each is held to the oracle's
+    # recursive fiber directly, not through another writer, and so is
+    # minimality, which is the maximality scan read through the mirror
     for v in _vertices(5):
         fiber = recursive_fiber(v)
         last = len(fiber) - 1
         for i, path in enumerate(fiber):
             assert (successor_bump(path.digits) is None) == (i == last)
-            assert (predecessor_bump(path.digits) is None) == (i == 0)
+            assert is_minimal(path) == (i == 0)
             assert rank_code(path.digits) == i
             assert path_with_rank(v, i) == path
             if i < last:
