@@ -177,6 +177,14 @@ def _cmd_chebyshev(args) -> int:
 def _cmd_meeting(args) -> int:
     if args.min_fraction is not None:
         require_threshold("min fraction", args.min_fraction, 1)
+        require_at_least("n_max", args.nmax)
+        # a pair's columns first differ at level 1 or later, so it meets 0
+        # to nmax - 1 times; a verdict that cannot fail or cannot pass is
+        # refused before any walk
+        if args.min_fraction == 0 or not 0 < args.min_meetings < args.nmax:
+            raise InvalidArgument(f"min fraction {args.min_fraction} with min meetings "
+                                  f"{args.min_meetings} decides every run: a pair meets "
+                                  f"0 to {max(args.nmax - 1, 0)} times")
     stats = meeting_experiment(
         args.nmax,
         args.reps,

@@ -14,7 +14,9 @@ Each row is symmetric, A(n, k) = A(n, n-k), since reversing a permutation
 of 1..n+1 swaps its rises and falls.  The memo (EulerianTriangle) keeps
 columns 0..n//2 of the even rows only and reads the other columns through
 the mirror; an entry of an odd row is one recursion step from the stored
-even row below it.
+even row below it.  The memo serves whole rows (eulerian_row) and the
+rank descents of paths (eulerian_lookup); one count, eulerian(n, k), is the
+closed form below and builds no row.
 
 Incoming edges of a vertex carry a total order (the in-rank): the right-turn
 copies from (n-1, k-1) come first, in copy order, followed by the left-turn
@@ -137,15 +139,13 @@ class EulerianTriangle:
     never mutated afterwards, so reads of already-computed rows are safe
     while an extension is in progress; the extension itself is serialized
     by a lock.  levels_computed is the deepest stored row, always even;
-    lookup, value and row at a level above it build rows up to that level
-    rounded up to even, which is at most one level past the one asked for.
+    lookup at a level above it builds rows up to that level rounded up to
+    even, which is at most one level past the one asked for.
     """
 
-    def __init__(self, n_max: int = 0):
+    def __init__(self):
         self._rows: list[list[int]] = [[1]]  # _rows[i] is row 2i
         self._lock = threading.Lock()
-        if n_max > 0:
-            self.extend_to(n_max)
 
     def extend_to(self, n: int) -> None:
         if self.levels_computed >= n:
@@ -176,26 +176,9 @@ class EulerianTriangle:
 
         return a
 
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0 or k > n:
-            return 0
-        return self.lookup(n)(n, k)
-
-    def row(self, n: int) -> tuple[int, ...]:
-        """The full row A(n, 0..n); the mirrored half shares the ints of
-        the half row."""
-        if n < 0:
-            raise InvalidArgument(f"negative level {n} has no triangle row")
-        self.extend_to(n)
-        half = self._rows[n >> 1]
-        if n & 1:
-            half = _next_half_row(half, n - 1)
-        return (*half, *reversed(half[: (n + 1) // 2]))
-
     @property
     def levels_computed(self) -> int:
-        """The deepest level that lookup, value and row read without
-        building a row."""
+        """The deepest level that lookup reads without building a row."""
         return 2 * len(self._rows) - 2
 
 
@@ -203,8 +186,11 @@ _TRIANGLE = EulerianTriangle()
 
 
 def eulerian(n: int, k: int) -> int:
-    """A(n, k): the number of root-to-(n, k) edge paths; 0 outside the triangle."""
-    return _TRIANGLE.value(n, k)
+    """A(n, k): the number of root-to-(n, k) edge paths, by the root closed
+    form of path_count_between; 0 outside the triangle.  No row is built."""
+    if not 0 <= k <= n:
+        return 0
+    return path_count_between(Vertex(0, 0), Vertex(n, k))
 
 
 def eulerian_lookup(n: int) -> Callable[[int, int], int]:
@@ -213,8 +199,13 @@ def eulerian_lookup(n: int) -> Callable[[int, int], int]:
 
 
 def eulerian_row(n: int) -> tuple[int, ...]:
-    """The full row A(n, 0..n)."""
-    return _TRIANGLE.row(n)
+    """The full row A(n, 0..n) from the memo: columns 0..n//2 are read, and
+    the mirrored half shares their ints."""
+    if n < 0:
+        raise InvalidArgument(f"negative level {n} has no triangle row")
+    a = _TRIANGLE.lookup(n)
+    half = [a(n, k) for k in range(n // 2 + 1)]
+    return (*half, *reversed(half[: (n + 1) // 2]))
 
 
 def path_count_between(a: Vertex, b: Vertex) -> int:
@@ -224,8 +215,8 @@ def path_count_between(a: Vertex, b: Vertex) -> int:
     the mirror c -> level - c applied first when 2 b.column < b.level so
     the alternating sum has at most b.level/2 + 1 terms; 0 when b is
     unreachable from a.  With a equal to the root this is the classical
-    alternating sum for eulerian(b.level, b.column).  The triangle is
-    never read.
+    alternating sum, and eulerian(b.level, b.column) is this call.  The
+    triangle is never read.
     """
     m, j, n, k = a.level, a.column, b.level, b.column
     # the sum is 0 when k - j > n - m as well; testing first skips up to n/2 + 1 big-int powers

@@ -3,9 +3,13 @@
 A weight system assigns a positive rational to every edge; the measure of a
 length-n cylinder is the product of its edge weights.  The symmetric system
 puts 1/(n+2) on every edge out of level n, so each length-n cylinder has
-measure 1/(n+1)!.  Adic invariance of a weight system is equivalent to two
-local conditions checked here exactly: parallel edges weigh the same, and
-around every diamond the two route products agree (u1 v1 = u2 v2).
+measure 1/(n+1)!.  For a weight system whose out-weights sum to 1 at every
+vertex, adic invariance is equivalent to two local conditions checked here
+exactly: parallel edges weigh the same, and around every diamond the two
+route products agree (u1 v1 = u2 v2).  The checks do not test that mass
+condition, so systems that are no measure pass them too: the constant 1/2
+on every edge, or a turn-biased system whose level-1 out-weights are 11/9
+and 7/9.
 
 Under the symmetric measure the column sequence k_n is a Markov chain:
 
@@ -17,10 +21,10 @@ drift, tail probabilities) is computed exactly from this kernel or from the
 Eulerian counts: Python integers over a known denominator such as (n+1)!,
 one Fraction per returned value.  The kernel is the graph's bundle rule,
 stated once by graph.bundle_sizes(n, k), over the out-degree n+2.  One
-function pushes a row a level (_kernel_step) for both the kernel route to
-the column law, which reads no triangle memo and so checks the Eulerian
-route, and the certified tail enclosure beyond the exact tail's budget,
-whose int64 rows round down and up to rational bounds.  tail_reference
+function pushes a row level by level (_kernel_push) for both the kernel
+route to the column law, which reads no triangle memo and so checks the
+Eulerian route, and the certified tail enclosure beyond the exact tail's
+budget, whose int64 rows round down and up to rational bounds.  tail_reference
 chooses between the exact tail and the enclosure, and tail_columns is the
 one statement of the tail set, which the enclosure and chebyshev read.
 """
@@ -124,7 +128,9 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     (a) within every bundle out of a vertex at level < n_max, all parallel
     copies carry one weight; (b) for every diamond with top vertex at level
     n < n_max, the left-then-right product equals the right-then-left one.
-    Returns the first violation found, as data.  A negative n_max is an
+    Returns the first violation found, as data.  The out-weights are not
+    summed, so a system that is no measure can pass (see the module
+    docstring).  A negative n_max is an
     InvalidArgument: it would pass on no checks at all.  Every copy is
     weighed, so the scan is cubic in n_max; weights are compared as
     integers, by numerator and denominator or by cross products.
@@ -221,15 +227,26 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
 # --- the column chain --------------------------------------------------------
 
 
-def _kernel_step(row: np.ndarray, m: int) -> np.ndarray:
-    """Push an undivided law on columns 0..m (row's last axis) to level
-    m+1, in row's dtype (an object row stays exact Python integers); the
-    result is over m+2 times row's denominator."""
-    stay, step = bundle_sizes(m, np.arange(m + 1))
-    nxt = np.zeros(row.shape[:-1] + (m + 2,), row.dtype)
-    np.multiply(row, stay, out=nxt[..., :-1])
-    nxt[..., 1:] += row * step
-    return nxt
+def _kernel_push(row: np.ndarray, n: int, each: Optional[Callable] = None) -> np.ndarray:
+    """Push an undivided law on level 0 (one column on row's last axis) to
+    level n, in row's dtype (an object row stays exact Python integers).
+    The push into level m multiplies the denominator by m+1; each(law, m),
+    when given, may change the level-m law in place (the enclosure rounds
+    it back) before the next level is pushed from it.  The levels share one
+    buffer and one scratch row, and the weights out of level m are views of
+    the level-n bundle sizes (stay k+1 a prefix, step m-k+1 a suffix), so
+    no level allocates an array."""
+    stay, step = bundle_sizes(n, np.arange(n + 1))
+    law = np.zeros(row.shape[:-1] + (n + 1,), row.dtype)
+    law[..., :1] = row
+    part = np.empty_like(law)
+    for m in range(n):
+        tmp = np.multiply(law[..., : m + 1], step[n - m :], out=part[..., : m + 1])
+        law[..., : m + 1] *= stay[: m + 1]
+        law[..., 1 : m + 2] += tmp
+        if each is not None:
+            each(law[..., : m + 2], m + 1)
+    return law
 
 
 def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -263,15 +280,13 @@ def column_distribution_dp(n: int) -> ColumnDistribution:
     """Kernel route: push the law forward level by level with the kernel.
 
     The law at level m is kept as integer numerators over (m+1)! in an
-    object array, which _kernel_step takes to level m+1, over (m+2)!.  One
+    object array, which _kernel_push takes to level m+1, over (m+2)!.  One
     Fraction per column is built at the end.  The full row is pushed, with
     no symmetry used and no triangle memo read, so the two routes
     cross-check each other.
     """
     require_at_least("level", n)
-    num = np.ones(1, dtype=object)
-    for m in range(n):
-        num = _kernel_step(num, m)
+    num = _kernel_push(np.ones(1, dtype=object), n)
     fact = factorial(n + 1)
     return ColumnDistribution(n, tuple(Fraction(a, fact) for a in num))
 
@@ -412,12 +427,12 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     # int64 safety: entries stay near denom, coefficients below n+2
     if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:
         raise ValueError("denominator too large for int64 products at this level")
-    # one pass: row 0 rounds down (lower bound), row 1 rounds up
-    num = np.full((2, 1), denom, np.int64)
-    for m in range(n):
-        num = _kernel_step(num, m)
-        num[1] += m + 1
-        num //= m + 2
+
+    def round_back(law, m):  # over m+1 times denom: row 0 rounds down, row 1 up
+        law[1] += m
+        law //= m + 1
+
+    num = _kernel_push(np.full((2, 1), denom, np.int64), n, round_back)
     mask = tail_columns(n, epsilon)
     lo = Fraction(int(num[0, mask].sum()), denom)
     hi = Fraction(int(num[1, mask].sum()), denom)

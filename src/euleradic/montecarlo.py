@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import InvalidArgument, require_at_least, require_threshold
-from .graph import Vertex, path_count_between
+from .graph import Vertex, eulerian, path_count_between
 from .measure import (
     column_distribution,
     epsilon_fraction,
@@ -253,8 +253,12 @@ def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
 
 
 def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
-    """Mean and variance of the turn surplus 2 k_n - n at one level."""
+    """Mean and variance of the turn surplus 2 k_n - n at one level.  The
+    sample variance divides by reps - 1, so reps below 2 is an
+    InvalidArgument: one sample would report a variance and standard
+    errors of 0."""
     require_at_least("level", level)
+    require_at_least("sample count", reps, least=2)
 
     def run(rng, m):
         *_, c = _walk(level, m, rng)
@@ -269,7 +273,7 @@ def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     # the scratch array then takes the fourth powers
     u -= mean
     scratch = np.square(u)
-    var = float(scratch.sum() / (reps - 1)) if reps > 1 else 0.0
+    var = float(scratch.sum() / (reps - 1))
     m2 = float(scratch.mean())
     m4 = float(np.power(u, 4, out=scratch).mean())
     se_mean = sqrt(var / reps)
@@ -470,7 +474,7 @@ def birkhoff_experiment(
     into (N, k) is path_count_between(terminal, (N, k)) / A(N, k), an
     exact big-integer ratio converging to the cylinder's measure; the
     report compares it to 1/(len+1)! in relative terms.  Both counts are
-    closed forms (A(N, k) counted from the root), so no triangle is built.
+    closed forms (A(N, k) is graph.eulerian), so no triangle is built.
 
     orbit_mc: samples one length-N path from cfg's replica 0 and walks its
     successor orbit with paths.orbit_codes for a step budget, counting
@@ -480,7 +484,8 @@ def birkhoff_experiment(
 
     No frequency lies further than max(ref, 1 - ref) from ref, so a
     tolerance at that bound (over ref, for the relative deviation of
-    exact_stack) would pass every run; it is an InvalidArgument.
+    exact_stack) would pass every run; it is an InvalidArgument.  So is
+    the empty cylinder, whose frequency and reference are both 1.
     """
     if mode not in ("exact_stack", "orbit_mc"):
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -491,10 +496,8 @@ def birkhoff_experiment(
     col = big_level // 2 if column is None else column
     if not 0 <= col <= big_level:
         raise InvalidArgument(f"column {col} outside level {big_level}")
-    if len(cylinder) > big_level:
-        raise InvalidArgument(
-            f"cylinder of length {len(cylinder)} is longer than level {big_level}"
-        )
+    if not 0 < len(cylinder) <= big_level:  # the empty one has frequency 1 in every run
+        raise InvalidArgument(f"cylinder length {len(cylinder)} outside 1..{big_level}")
     require_at_least("budget", budget)
     if tolerance is not None:
         require_threshold("tolerance", tolerance)
@@ -509,7 +512,7 @@ def birkhoff_experiment(
               "mode": mode}
     if relative:
         target = Vertex(big_level, col)
-        fiber = path_count_between(Vertex(0, 0), target)
+        fiber = eulerian(big_level, col)
         through = path_count_between(cylinder.terminal, target)
         freq = Fraction(through, fiber)
         rel = abs(freq - ref) / ref

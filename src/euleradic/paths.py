@@ -45,7 +45,7 @@ from typing import Iterator
 
 from .errors import (IndexBeyondPath, InvalidArgument, LengthMismatch, MaximalPath, MinimalPath,
                      OrbitOverflow, require_within_cap)
-from .graph import EdgeRef, Turn, Vertex, eulerian_lookup, path_count_between
+from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_lookup
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -305,9 +305,9 @@ def orbit_codes(digits: tuple) -> Iterator[tuple]:
 def fiber_codes(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple]:
     """Codes of all paths into v in Vershik order.  The size check runs at
     the call, so TooLarge comes before any code is walked: the fiber is
-    counted by a closed form that builds no triangle rows.  A negative cap
-    is InvalidArgument."""
-    require_within_cap(f"fiber of {v}", "paths", path_count_between(Vertex(0, 0), v), cap)
+    counted by eulerian, a closed form that builds no triangle rows.  A
+    negative cap is InvalidArgument."""
+    require_within_cap(f"fiber of {v}", "paths", eulerian(v.level, v.column), cap)
     return orbit_codes(min_code(v.level, v.column))
 
 

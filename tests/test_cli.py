@@ -7,6 +7,7 @@ for the seeded ones, and --out writing the same bytes as stdout would.
 
 import hashlib
 import json
+import shlex
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -275,6 +276,14 @@ def test_meeting_and_series(capsys, tmp_path):
     )
     assert code == 1
     assert "below" in err
+    # nmax - 1 meetings, the most a pair can have, is reached and so not refused
+    code, out, _ = _run(
+        capsys,
+        "meeting", "--nmax", "5", "--reps", "100", "--seed", "5",
+        "--min-meetings", "4", "--min-fraction", "0.01",
+    )
+    assert code == 0
+    assert json.loads(out)["fraction_with_min"] == 0.01
 
 
 def test_birkhoff_modes(capsys):
@@ -442,10 +451,19 @@ def test_usage_errors_exit_2():
     "birkhoff --cylinder L0.R0 --level 8 --mode orbit_mc --budget 0 --tolerance 1 --seed 3",
     # no frequency deviates from 1/2 by more than 1/2, a relative deviation of 1
     "birkhoff --cylinder R0 --level 1 --column 0 --tolerance 1",
+    # verdicts that cannot fail or cannot pass: a one-sample variance, the
+    # empty cylinder, a min fraction of 0, and min meetings that every pair
+    # has (0) or that none can have (a pair meets at most nmax - 1 times)
+    "variance --level 5 --reps 1 --seed 1",
+    "birkhoff --cylinder '' --level 5",
+    "birkhoff --cylinder '' --level 5 --mode orbit_mc",
+    "meeting --nmax 5 --reps 10 --seed 1 --min-fraction 0",
+    "meeting --nmax 5 --reps 10 --seed 1 --min-fraction 0.5 --min-meetings 0",
+    "meeting --nmax 5 --reps 10 --seed 1 --min-fraction 0.5 --min-meetings 5",
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     try:
-        code = main(argv.split())
+        code = main(shlex.split(argv))
     except SystemExit as exc:  # argparse rejects the value itself
         code = exc.code
     captured = capsys.readouterr()

@@ -4,9 +4,10 @@ Core claims: out-degree n+2 split into k+1 left and n-k+1 right copies;
 the in-edge oracle of edge_order lists the right bundle, then the left
 bundle, with gapless ranks; the triangle values equal brute-force path
 counts and permutation rise counts;
-row n sums to (n+1)!; the memo of even half rows equals a full-row
-recursion at every level, odd ones included, keeps its levels_computed
-contract and allocates about a quarter of what full rows take;
+row n sums to (n+1)!; the memo of even half rows, read through lookup and
+eulerian_row, equals a full-row recursion at every level, odd ones
+included, keeps its levels_computed contract and allocates about a quarter
+of what full rows take; one count, eulerian(n, k), builds no row;
 path_count_between splits over intermediate levels,
 counts the permutations of 1..n+1 with k rises that keep a fixed pattern
 on 1..L+1 (every pattern up to n = 6),
@@ -34,6 +35,7 @@ from euleradic import (
     path_count_between,
     step_for_out_index,
 )
+from euleradic import graph
 
 from edge_order import in_edges, in_rank
 
@@ -196,15 +198,26 @@ def test_eulerian_outside_triangle_is_zero():
     assert eulerian(-1, 0) == 0
 
 
-def test_negative_row_is_invalid_not_stale():
+def _triangle(n):
+    """A fresh memo with rows up to level n built."""
+    tri = EulerianTriangle()
+    tri.extend_to(n)
+    return tri
+
+
+def test_negative_row_is_invalid_not_stale(monkeypatch):
     # a negative index must not read a row from the end of the memo table
-    tri = EulerianTriangle(5)
-    with pytest.raises(InvalidArgument):
-        tri.row(-1)
-    eulerian_row(5)
+    monkeypatch.setattr(graph, "_TRIANGLE", _triangle(5))
     with pytest.raises(InvalidArgument):
         eulerian_row(-1)
-    assert tri.value(-1, 0) == 0
+    assert eulerian(-1, 0) == 0
+
+
+def test_eulerian_builds_no_row(monkeypatch):
+    # one count is the root closed form: a fresh memo stays at its root row
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle())
+    assert eulerian(600, 300) == path_count_between(Vertex(0, 0), Vertex(600, 300))
+    assert graph._TRIANGLE.levels_computed == 0
 
 
 def test_eulerian_matches_brute_path_counts():
@@ -222,21 +235,26 @@ def test_row_sums_are_factorials():
         assert sum(eulerian_row(n)) == factorial(n + 1)
 
 
-def test_half_row_memo_matches_full_rows():
+def test_half_row_memo_matches_full_rows(monkeypatch):
     tri = EulerianTriangle()
+    monkeypatch.setattr(graph, "_TRIANGLE", tri)
     for n, full in enumerate(_full_triangle(200)):
-        assert tri.row(n) == tuple(full)
-        assert [tri.value(n, k) for k in range(n + 1)] == full
+        assert eulerian_row(n) == tuple(full)
+        a = tri.lookup(n)
+        assert [a(n, k) for k in range(n + 1)] == full
 
 
-def test_half_row_memo_middle_columns():
+def test_half_row_memo_middle_columns(monkeypatch):
     # the columns on either side of the mirror, at an odd and an even level
     root = Vertex(0, 0)
     tri = EulerianTriangle()
+    monkeypatch.setattr(graph, "_TRIANGLE", tri)
     for n in (299, 300):
+        a = tri.lookup(n)
+        row = eulerian_row(n)
         for k in range(n // 2 - 1, n // 2 + 3):
-            assert tri.value(n, k) == path_count_between(root, Vertex(n, k))
-            assert tri.row(n)[k] == tri.value(n, k)
+            assert a(n, k) == path_count_between(root, Vertex(n, k))
+            assert row[k] == a(n, k)
 
 
 def _traced_bytes(build):
@@ -252,7 +270,7 @@ def _traced_bytes(build):
 
 def test_half_row_memo_allocates_a_quarter():
     # half rows at even levels only: about a quarter of the full triangle
-    memo = _traced_bytes(lambda: EulerianTriangle(300))
+    memo = _traced_bytes(lambda: _triangle(300))
     full = _traced_bytes(lambda: _full_triangle(300))
     assert memo <= 0.3 * full
 
@@ -267,25 +285,27 @@ def test_odd_levels_read_from_the_row_below():
     assert tri.levels_computed == 202
 
 
-def test_levels_computed_contract():
+def test_levels_computed_contract(monkeypatch):
     # levels_computed is the deepest stored row, always even: a read at or
     # below it builds nothing, and a read above it builds rows up to the
     # level asked for, rounded up to even
     tri = EulerianTriangle()
+    monkeypatch.setattr(graph, "_TRIANGLE", tri)
     assert tri.levels_computed == 0
-    assert EulerianTriangle(10).levels_computed == 10
-    assert EulerianTriangle(11).levels_computed == 12
-    assert tri.value(1, 1) == 1
+    assert _triangle(10).levels_computed == 10
+    assert _triangle(11).levels_computed == 12
+    assert tri.lookup(1)(1, 1) == 1
     assert tri.levels_computed == 2
     for n in (2, 7, 8, 9, 30, 31):
         before = tri.levels_computed
-        tri.value(n, n // 2)
-        tri.row(n)
+        eulerian_row(n)
         tri.lookup(n)
         after = tri.levels_computed
         assert after == before if n <= before else after == n + n % 2, n
-    assert tri.value(33, 0) == 1 and tri.levels_computed == 34
-    assert tri.value(40, 41) == 0 and tri.levels_computed == 34
+    assert eulerian_row(33)[0] == 1 and tri.levels_computed == 34
+    # a single count reads no row, in the triangle or outside it
+    assert eulerian(40, 20) > 0 and eulerian(40, 41) == 0
+    assert tri.levels_computed == 34
 
 
 def test_triangle_concurrent_extension():
@@ -293,7 +313,8 @@ def test_triangle_concurrent_extension():
     results = []
 
     def work(n):
-        results.append(tri.row(n))
+        a = tri.lookup(n)
+        results.append(tuple(a(n, k) for k in range(n + 1)))
 
     threads = [threading.Thread(target=work, args=(150,)) for _ in range(8)]
     for t in threads:
@@ -317,10 +338,11 @@ def test_path_count_between_examples():
 
 
 def test_path_count_between_matches_eulerian():
+    # the memo's rows against the closed form from the root
     root = Vertex(0, 0)
     for n in range(10):
-        for k in range(n + 1):
-            assert path_count_between(root, Vertex(n, k)) == eulerian(n, k)
+        assert list(eulerian_row(n)) == [path_count_between(root, Vertex(n, k))
+                                         for k in range(n + 1)]
 
 
 def test_path_count_between_matches_permutation_patterns():

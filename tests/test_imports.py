@@ -125,15 +125,27 @@ def test_modules_import_only_lower_layers():
 TAIL_ROUTE_NAMES = {"EXACT_TAIL_BUDGET", "ENCLOSURE_LEVEL_CAP", "ENCLOSURE_DENOM_BITS"}
 
 
-def test_only_measure_reads_the_tail_route_constants():
-    # measure.tail_reference chooses between the exact tail and the
-    # enclosure; a second reader of their limits would be a second choice
+def _readers(wanted: set[str]) -> set[str]:
+    """The package modules that read one of the wanted names, as a name,
+    an attribute or an import."""
     readers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.ImportFrom):
                 names |= {a.name for a in node.names}
-            if names & TAIL_ROUTE_NAMES:
+            if names & wanted:
                 readers.add(path.stem)
-    assert readers <= {"measure"}
+    return readers
+
+
+def test_only_measure_reads_the_tail_route_constants():
+    # measure.tail_reference chooses between the exact tail and the
+    # enclosure; a second reader of their limits would be a second choice
+    assert _readers(TAIL_ROUTE_NAMES) <= {"measure"}
+
+
+def test_only_paths_reads_eulerian_lookup():
+    # one Eulerian number is graph.eulerian, the closed form; the memo's
+    # unchecked reader serves the rank descents of paths alone
+    assert _readers({"eulerian_lookup"}) == {"paths"}

@@ -333,7 +333,9 @@ def test_column_routes_agree_to_200():
 
 
 def test_kernel_route_reads_no_triangle(monkeypatch):
-    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle(10))
+    tri = EulerianTriangle()
+    tri.extend_to(10)
+    monkeypatch.setattr(graph, "_TRIANGLE", tri)
     law = column_distribution_dp(30)
     assert graph._TRIANGLE.levels_computed == 10
     assert law.probs == column_distribution(30).probs

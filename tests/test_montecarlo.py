@@ -102,6 +102,8 @@ def test_draw_order_is_frozen():
     lambda cfg: RngConfig(1, replicas=0),
     lambda cfg: sample_experiment(-1, 10, cfg),
     lambda cfg: variance_experiment(5, 0, cfg),
+    # one sample has no ddof=1 variance: it would report 0 with errors of 0
+    lambda cfg: variance_experiment(5, 1, cfg),
     lambda cfg: chebyshev_experiment(0, Fraction(1, 2), 10, cfg),
     lambda cfg: chebyshev_experiment(10, Fraction(-1, 2), 10, cfg),
     lambda cfg: meeting_experiment(-1, 10, cfg),
@@ -128,6 +130,9 @@ def test_draw_order_is_frozen():
                                     tolerance=100.0),
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="orbit_mc"),
     lambda cfg: birkhoff_experiment(FinitePath.from_text("L0"), 8, mode="bogus", cfg=cfg),
+    # the empty cylinder has frequency and reference 1, so every run passes
+    lambda cfg: birkhoff_experiment(FinitePath.from_text(""), 5),
+    lambda cfg: birkhoff_experiment(FinitePath.from_text(""), 5, mode="orbit_mc", cfg=cfg),
 ])
 def test_experiment_arguments_are_validated(call):
     with pytest.raises(InvalidArgument):
@@ -452,6 +457,8 @@ def test_meeting_bookkeeping_edge_cases(n_max, reps, cfg, shows):
     stats = meeting_experiment(n_max, reps, cfg, keep_series=True)
     meet, sigma, lag, hits = _replayed_meetings(n_max, reps, cfg)
     assert shows(sigma, lag)
+    # the most meetings a pair can have, which the CLI's --min-meetings check reads
+    assert max(meet) <= max(n_max - 1, 0)
     assert stats.meetings_per_pair.tolist() == meet
     assert stats.sigma_per_pair.tolist() == sigma
     assert stats.first_lag_per_pair.tolist() == lag
@@ -615,7 +622,7 @@ def _orbit_walk_reference(cylinder, level, cfg, budget):
 
 
 def test_birkhoff_orbit_walk_matches_successor_loop():
-    cylinders = ["", "L0", "R0", "L0.L0", "L0.R0", "R0.L1", "R0.R0", "L0.R1.L1"]
+    cylinders = ["L0", "R0", "L0.L0", "L0.R0", "R0.L1", "R0.R0", "L0.R1.L1"]
     runs = exhausted = 0
     for level in (3, 5, 8, 12):
         for text in cylinders:
