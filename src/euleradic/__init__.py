@@ -6,9 +6,7 @@ cutting-and-stacking interval model, and a reproducible experiment harness.
 
 from .errors import (
     EulerAdicError,
-    IndexBeyondPath,
     InvalidArgument,
-    LengthMismatch,
     MaximalPath,
     MinimalPath,
     OrbitOverflow,

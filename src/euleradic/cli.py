@@ -80,7 +80,7 @@ def _vertex(text: str) -> Vertex:
     try:
         n, _, k = text.partition(",")
         return Vertex(int(n), int(k))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:  # from int() or Vertex
         raise argparse.ArgumentTypeError(f"bad vertex {text!r}: {exc}")
 
 
@@ -94,7 +94,7 @@ def _fraction(text: str) -> Fraction:
 def _cylinder(text: str) -> FinitePath:
     try:
         return FinitePath.from_text(text)
-    except ValueError as exc:
+    except InvalidArgument as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 

@@ -5,6 +5,20 @@ pass/fail threshold.
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
+The policy has two kinds:
+
+- InvalidArgument (also a ValueError) for every argument outside the
+  domain of its call: a vertex off the triangle, a copy outside its
+  bundle, path text that is not canonical, a level index outside a path,
+  paths of different lengths, a weight that is not a positive finite
+  real number, a column law that does not sum to 1, a negative count, a
+  threshold out of range.  The type that owns a domain raises it.
+  MaximalPath, MinimalPath and OrbitOverflow are its named kinds for the
+  paths the adic map is undefined on and a rank outside its fiber.
+- TooLarge for a size refused by a cap: the argument is in the domain,
+  but the work is not done.
+
+The command line exits 2 on the first and 1 on the second.
 """
 
 from math import inf, isfinite
@@ -47,27 +61,19 @@ def require_within_cap(subject: str, items: str, count: int, cap: int) -> None:
                        f"{items}, cap is {int_text(cap)}")
 
 
-class IndexBeyondPath(EulerAdicError):
-    """A level index outside [0, len(path)] was requested."""
-
-
-class LengthMismatch(EulerAdicError):
-    """Two paths of different lengths cannot be order-compared."""
-
-
 class TooLarge(EulerAdicError):
     """An enumeration or layout would exceed the configured cap."""
 
 
-class MaximalPath(EulerAdicError):
+class MaximalPath(InvalidArgument):
     """The successor of a maximal path is undefined."""
 
 
-class MinimalPath(EulerAdicError):
+class MinimalPath(InvalidArgument):
     """The predecessor of a minimal path is undefined."""
 
 
-class OrbitOverflow(EulerAdicError):
+class OrbitOverflow(InvalidArgument):
     """An orbit step would leave the fiber of the terminal vertex.
 
     Carries the requested rank and the valid closed range [0, fiber_size - 1].

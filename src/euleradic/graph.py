@@ -70,8 +70,8 @@ class Vertex:
     column: int
 
     def __post_init__(self):
-        if self.level < 0 or not 0 <= self.column <= self.level:
-            raise ValueError(f"invalid vertex ({self.level},{self.column})")
+        if not 0 <= self.column <= self.level:
+            raise InvalidArgument(f"column {self.column} outside level {self.level}")
 
     def __repr__(self):
         return f"({self.level},{self.column})"
@@ -97,11 +97,11 @@ class EdgeRef:
 
     def __post_init__(self):
         if not isinstance(self.turn, Turn):
-            raise ValueError(f"{self.turn!r} is not a Turn")
+            raise InvalidArgument(f"{self.turn!r} is not a Turn")
         left, right = bundle_sizes(self.source.level, self.source.column)
         size = left if self.turn is Turn.LEFT else right
         if not 0 <= self.copy < size:
-            raise ValueError(
+            raise InvalidArgument(
                 f"copy {self.copy} outside bundle of size {size} "
                 f"({self.turn.value} out of {self.source})"
             )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, comb, factorial
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,12 +77,17 @@ class WeightSystem:
 
     def weight(self, e: EdgeRef) -> Fraction:
         """fn(e) as a Fraction (a Fraction is returned as is); a Fraction's
-        denominator is positive, so its sign is the numerator's."""
+        denominator is positive, so its sign is the numerator's.  A weight
+        is a finite real number: Fraction would also parse text, which is
+        refused here, and NaN or an infinity has no Fraction."""
         w = self.fn(e)
         if type(w) is not Fraction:
-            w = Fraction(w)
+            try:
+                w = Fraction(w if isinstance(w, Real) else None)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidArgument(f"weight {w!r} on {e} is not a finite real number") from None
         if w.numerator <= 0:
-            raise ValueError(f"non-positive weight {w} on {e}")
+            raise InvalidArgument(f"non-positive weight {w} on {e}")
         return w
 
 
@@ -251,8 +257,7 @@ def _kernel_push(row: np.ndarray, n: int, each: Optional[Callable] = None) -> np
 
 def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(P(stay), P(increment)) for the column chain at (n, k)."""
-    if not 0 <= k <= n:
-        raise InvalidArgument(f"column {k} outside level {n}")
+    Vertex(n, k)  # the vertex owns the column's domain
     stay, step = bundle_sizes(n, k)
     return Fraction(stay, n + 2), Fraction(step, n + 2)
 
@@ -266,7 +271,7 @@ class ColumnDistribution:
 
     def __post_init__(self):
         if sum(self.probs) != 1:
-            raise ValueError(f"column law at level {self.level} does not sum to 1")
+            raise InvalidArgument(f"column law at level {self.level} does not sum to 1")
 
 
 def column_distribution(n: int) -> ColumnDistribution:
@@ -358,6 +363,7 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     or both stepping keeps the gap, so only the two mixed combinations
     are summed, on integers, and the sum is divided once by (n+2)^2.
     """
+    # Vertex(n, k) states this domain, but would double the cost of a call
     if not (0 <= k <= n and 0 <= k2 <= n):
         raise InvalidArgument(f"columns {k}, {k2} outside level {n}")
     stay, step = bundle_sizes(n, k)
@@ -418,15 +424,14 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     and up for the upper, both in one pass.  Rounding never cancels, so the
     two bracket the exact law pointwise; the bracket width stays below
     (n+1)^2 / 2**ENCLOSURE_DENOM_BITS because each level adds at most one
-    unit of numerator per entry.
+    unit of numerator per entry.  Entries stay near the denominator and
+    coefficients below n+2, so up to ENCLOSURE_LEVEL_CAP every int64
+    product is below (2**ENCLOSURE_DENOM_BITS + (n+1)^2) (n+2) 2 < 2**63.
     """
     require_at_least("level", n)
     if n > ENCLOSURE_LEVEL_CAP:
         raise TooLarge(f"level {n} above the enclosure cap {ENCLOSURE_LEVEL_CAP}")
     denom = 1 << ENCLOSURE_DENOM_BITS
-    # int64 safety: entries stay near denom, coefficients below n+2
-    if (denom + (n + 1) ** 2) * (n + 2) * 2 >= 2**63:
-        raise ValueError("denominator too large for int64 products at this level")
 
     def round_back(law, m):  # over m+1 times denom: row 0 rounds down, row 1 up
         law[1] += m

@@ -494,8 +494,7 @@ def birkhoff_experiment(
     require_at_least("level", big_level)
     ref = Fraction(1, factorial(len(cylinder) + 1))
     col = big_level // 2 if column is None else column
-    if not 0 <= col <= big_level:
-        raise InvalidArgument(f"column {col} outside level {big_level}")
+    target = Vertex(big_level, col)
     if not 0 < len(cylinder) <= big_level:  # the empty one has frequency 1 in every run
         raise InvalidArgument(f"cylinder length {len(cylinder)} outside 1..{big_level}")
     require_at_least("budget", budget)
@@ -511,7 +510,6 @@ def birkhoff_experiment(
     params = {"cylinder": cylinder.to_text(), "level": big_level, "column": col,
               "mode": mode}
     if relative:
-        target = Vertex(big_level, col)
         fiber = eulerian(big_level, col)
         through = path_count_between(cylinder.terminal, target)
         freq = Fraction(through, fiber)

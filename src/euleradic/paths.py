@@ -43,8 +43,7 @@ from enum import Enum
 from operator import sub
 from typing import Iterator
 
-from .errors import (IndexBeyondPath, InvalidArgument, LengthMismatch, MaximalPath, MinimalPath,
-                     OrbitOverflow, require_within_cap)
+from .errors import InvalidArgument, MaximalPath, MinimalPath, OrbitOverflow, require_within_cap
 from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_lookup
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -115,7 +114,7 @@ class FinitePath:
     def column_at(self, m: int) -> int:
         """Column of the vertex this path passes through at level m."""
         if not 0 <= m <= len(self._digits):
-            raise IndexBeyondPath(f"level {m} outside path of length {len(self)}")
+            raise InvalidArgument(f"level {m} outside path of length {len(self)}")
         return self._columns()[m]
 
     @property
@@ -124,13 +123,13 @@ class FinitePath:
 
     def edge_at(self, i: int) -> EdgeRef:
         if not 0 <= i < len(self._digits):
-            raise IndexBeyondPath(f"edge {i} outside path of length {len(self)}")
+            raise InvalidArgument(f"edge {i} outside path of length {len(self)}")
         k = self._columns()[i]
         return EdgeRef(Vertex(i, k), *step_for_out_index(k, self._digits[i]))
 
     def prefix(self, m: int) -> "FinitePath":
         if not 0 <= m <= len(self._digits):
-            raise IndexBeyondPath(f"level {m} outside path of length {len(self)}")
+            raise InvalidArgument(f"level {m} outside path of length {len(self)}")
         return FinitePath._trusted(self._digits[:m])
 
     def extended(self, turn: Turn, copy: int) -> "FinitePath":
@@ -148,7 +147,7 @@ class FinitePath:
         steps = []
         for tok in text.split("."):
             if not _TOKEN.fullmatch(tok):
-                raise ValueError(f"bad path token {tok!r}")
+                raise InvalidArgument(f"bad path token {tok!r}")
             steps.append((Turn(tok[0]), int(tok[1:])))
         return cls(tuple(steps))
 
@@ -250,7 +249,7 @@ def vershik_compare(p: FinitePath, q: FinitePath) -> Order:
     lower column (the right block) ranks first, then the lower digit.
     """
     if len(p) != len(q):
-        raise LengthMismatch(f"lengths {len(p)} and {len(q)} differ")
+        raise InvalidArgument(f"lengths {len(p)} and {len(q)} differ")
     pd, pc, qd, qc = p._digits, p._columns(), q._digits, q._columns()
     if pc[-1] != qc[-1]:
         return Order.INCOMPARABLE

@@ -1,0 +1,125 @@
+"""The library's error contract, one row per public argument domain.
+
+Every argument outside the domain of its call raises InvalidArgument (a
+ValueError), raised by the type or function that owns the domain: the
+vertex owns the column, the edge its turn and copy, the path its levels,
+the weight system its weights.  MaximalPath, MinimalPath and OrbitOverflow
+are named kinds of it; TooLarge, a size refused by a cap, is not.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from euleradic import (
+    ColumnDistribution,
+    EdgeRef,
+    EulerAdicError,
+    FinitePath,
+    InvalidArgument,
+    MaximalPath,
+    MinimalPath,
+    OrbitOverflow,
+    RngConfig,
+    TooLarge,
+    Turn,
+    Vertex,
+    WeightSystem,
+    birkhoff_experiment,
+    build_stage,
+    chebyshev_experiment,
+    column_distribution_dp,
+    column_tail,
+    encode_point,
+    enumerate_paths_to,
+    eulerian_row,
+    exact_moments,
+    iterate,
+    max_path_to,
+    min_path_to,
+    pair_drift,
+    path_from_out_indices,
+    path_with_rank,
+    predecessor,
+    successor,
+    transition_probs,
+    variance_experiment,
+    vershik_compare,
+)
+
+ROOT_EDGE = EdgeRef(Vertex(0, 0), Turn.LEFT, 0)
+PATH = FinitePath.from_text("R0.L1.R1")  # into (3, 2)
+CFG = RngConfig(1)
+
+CONTRACT = {
+    "vertex column above its level": lambda: Vertex(2, 3),
+    "vertex column below 0": lambda: Vertex(2, -1),
+    "vertex level below 0": lambda: Vertex(-1, 0),
+    "edge turn": lambda: EdgeRef(Vertex(1, 0), "L", 0),
+    "edge copy": lambda: EdgeRef(Vertex(1, 0), Turn.LEFT, 1),
+    "path steps": lambda: FinitePath(((Turn.RIGHT, 1),)),
+    "path text": lambda: FinitePath.from_text("X1"),
+    "path text not canonical": lambda: FinitePath.from_text("L00"),
+    "column_at level": lambda: PATH.column_at(4),
+    "edge_at index": lambda: PATH.edge_at(3),
+    "prefix level": lambda: PATH.prefix(-1),
+    "vershik_compare lengths": lambda: vershik_compare(PATH, FinitePath.from_text("L0")),
+    "successor of a maximal path": lambda: successor(max_path_to(Vertex(3, 2))),
+    "predecessor of a minimal path": lambda: predecessor(min_path_to(Vertex(3, 2))),
+    "path_with_rank overflow": lambda: path_with_rank(Vertex(2, 1), 4),
+    "iterate overflow": lambda: iterate(PATH, 10),
+    "weight as text": lambda: WeightSystem("text", lambda e: "1/2").weight(ROOT_EDGE),
+    "weight None": lambda: WeightSystem("none", lambda e: None).weight(ROOT_EDGE),
+    "weight NaN": lambda: WeightSystem("nan", lambda e: float("nan")).weight(ROOT_EDGE),
+    "weight infinite": lambda: WeightSystem("inf", lambda e: float("inf")).weight(ROOT_EDGE),
+    "weight non-positive": lambda: WeightSystem("zero", lambda e: 0).weight(ROOT_EDGE),
+    "column law total": lambda: ColumnDistribution(1, (Fraction(1, 2),)),
+    "transition column": lambda: transition_probs(3, 4),
+    "pair_drift column": lambda: pair_drift(3, 0, 4),
+    "birkhoff column": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 5, column=6),
+    "level below 0": lambda: column_distribution_dp(-1),
+    "moment levels below 0": lambda: exact_moments(-1),
+    "triangle row below 0": lambda: eulerian_row(-1),
+    "exact tail level": lambda: column_tail(601, Fraction(1, 10)),
+    "stage below 0": lambda: build_stage(-1),
+    "point outside [0, 1)": lambda: encode_point(Fraction(3, 2), 3),
+    "out-edge index": lambda: path_from_out_indices((0, 3)),
+    "cap below 0": lambda: enumerate_paths_to(Vertex(3, 1), cap=-1),
+    "threshold NaN": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 5,
+                                                 tolerance=float("nan")),
+    "epsilon 0": lambda: chebyshev_experiment(10, Fraction(0), 10, CFG),
+    "reps below 2": lambda: variance_experiment(5, 1, CFG),
+}
+
+
+@pytest.mark.parametrize("call", CONTRACT.values(), ids=CONTRACT.keys())
+def test_out_of_domain_argument_is_invalid(call):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value)
+
+
+def test_named_kinds_are_invalid_arguments_caught_by_name():
+    with pytest.raises(MaximalPath):
+        successor(max_path_to(Vertex(3, 2)))
+    with pytest.raises(MinimalPath):
+        predecessor(min_path_to(Vertex(3, 2)))
+    with pytest.raises(OrbitOverflow) as info:
+        path_with_rank(Vertex(2, 1), 4)
+    assert (info.value.requested, info.value.fiber_size) == (4, 4)
+    for kind in (MaximalPath, MinimalPath, OrbitOverflow):
+        assert issubclass(kind, InvalidArgument)
+
+
+def test_a_refused_size_is_not_an_invalid_argument():
+    assert issubclass(TooLarge, EulerAdicError)
+    assert not issubclass(TooLarge, InvalidArgument)
+    with pytest.raises(TooLarge) as info:
+        enumerate_paths_to(Vertex(5, 2), cap=3)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_vertex_names_the_column_and_level():
+    with pytest.raises(InvalidArgument, match=r"^column 3 outside level 2$"):
+        Vertex(2, 3)

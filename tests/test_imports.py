@@ -11,7 +11,8 @@ an attribute.  A method or property of a package class must likewise be
 read as an attribute in the package or the benchmark, or be named in KEPT
 with its reason.  The modules also form one stack of layers, and each
 imports only from the layers below it, so an import cycle, or a module
-that no layer names, fails here.
+that no layer names, fails here.  No module raises a bare ValueError: an
+argument outside its domain is an InvalidArgument.
 """
 
 import ast
@@ -149,3 +150,20 @@ def test_only_paths_reads_eulerian_lookup():
     # one Eulerian number is graph.eulerian, the closed form; the memo's
     # unchecked reader serves the rank descents of paths alone
     assert _readers({"eulerian_lookup"}) == {"paths"}
+
+
+def _raised_names(source: str) -> list[str]:
+    """The names of the exceptions raised in source, called or bare."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_value_error_is_raised(path):
+    # an argument outside its domain is an InvalidArgument, which the command
+    # line turns into a usage error; a bare ValueError would be a traceback
+    assert "ValueError" not in _raised_names(path.read_text())

@@ -40,7 +40,7 @@ from euleradic import (
 )
 from euleradic import graph, measure
 from euleradic.graph import EulerianTriangle, eulerian_row
-from euleradic.measure import ENCLOSURE_LEVEL_CAP
+from euleradic.measure import ENCLOSURE_DENOM_BITS, ENCLOSURE_LEVEL_CAP
 
 
 def _all_paths(n):
@@ -175,13 +175,18 @@ def test_invariance_scan_weighs_every_copy():
 
 
 def test_non_positive_weight_on_a_later_copy_raises():
-    for bad in (Fraction(0), Fraction(-1, 5), 0, -2.5):
+    # a weight is a positive finite real number: text is not read as one,
+    # though Fraction would parse it
+    cases = [(bad, "non-positive weight") for bad in (Fraction(0), Fraction(-1, 5), 0, -2.5)]
+    cases += [(bad, "is not a finite real number")
+              for bad in ("1/2", None, 0.5 + 0j, float("nan"), float("inf"), float("-inf"))]
+    for bad, message in cases:
         def fn(e, bad=bad):
             if (e.source.level, e.source.column, e.turn, e.copy) == (4, 2, Turn.RIGHT, 2):
                 return bad
             return Fraction(1, e.source.level + 2)
 
-        with pytest.raises(ValueError, match="non-positive weight"):
+        with pytest.raises(InvalidArgument, match=message):
             check_invariance_conditions(WeightSystem("sunk", fn), 6)
 
 
@@ -618,6 +623,13 @@ def test_tail_enclosure_large_level_sane():
     assert hi - lo < Fraction(1, 10**6)
     # the variance bound at this level is already far below one percent
     assert hi < Fraction(5002, 3 * 5000 * 5000) / Fraction(1, 100)
+
+
+def test_enclosure_constants_keep_int64_products_clear():
+    # entries stay near the denominator and coefficients below n+2, so the
+    # cap bounds every product of the enclosure's int64 rows
+    n = ENCLOSURE_LEVEL_CAP
+    assert (2**ENCLOSURE_DENOM_BITS + (n + 1) ** 2) * (n + 2) * 2 < 2**63
 
 
 def test_enclosure_level_cap_enforced():

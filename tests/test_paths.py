@@ -15,8 +15,7 @@ import pytest
 from euleradic import (
     EdgeRef,
     FinitePath,
-    IndexBeyondPath,
-    LengthMismatch,
+    InvalidArgument,
     Order,
     TooLarge,
     Turn,
@@ -104,7 +103,7 @@ def test_column_sequence():
     path = FinitePath.from_text("R0.L1.R1")
     assert [path.column_at(i) for i in range(4)] == [0, 1, 1, 2]
     assert path.terminal == Vertex(3, 2)
-    with pytest.raises(IndexBeyondPath):
+    with pytest.raises(InvalidArgument):
         path.column_at(4)
     for p in _all_paths(5):
         cols = [p.column_at(i) for i in range(6)]
@@ -116,9 +115,9 @@ def test_edge_index_outside_the_path_is_named():
     path = FinitePath.from_text("R0.L1.R1")
     assert path.edge_at(2).source == Vertex(2, 1)
     for i in (-1, 3):
-        with pytest.raises(IndexBeyondPath, match=f"edge {i} outside path of length 3"):
+        with pytest.raises(InvalidArgument, match=f"edge {i} outside path of length 3"):
             path.edge_at(i)
-    with pytest.raises(IndexBeyondPath):
+    with pytest.raises(InvalidArgument):
         FinitePath(()).edge_at(0)
 
 
@@ -256,7 +255,7 @@ def test_compare_basics():
     assert vershik_compare(p, p) is Order.EQUAL
     assert vershik_compare(p, q) in (Order.LESS, Order.GREATER)
     assert vershik_compare(q, p) is not vershik_compare(p, q)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidArgument):
         vershik_compare(p, FinitePath.from_text("L0"))
 
 
