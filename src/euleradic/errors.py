@@ -1,7 +1,7 @@
 """Exception types shared across the package, the check that turns a
 count below its least value into an InvalidArgument, the check that
-refuses a count above its cap with a TooLarge, and the check of a
-pass/fail threshold.
+refuses a count above its cap with a TooLarge, the check of a pass/fail
+threshold, and the one reader of a number from outside (require_real).
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
@@ -11,17 +11,26 @@ The policy has two kinds:
   domain of its call: a vertex off the triangle, a copy outside its
   bundle, path text that is not canonical, a level index outside a path,
   paths of different lengths, a weight that is not a positive finite
-  real number, a column law that does not sum to 1, a negative count, a
-  threshold out of range.  The type that owns a domain raises it.
+  real number, a point or epsilon that is not a finite real number, a
+  column law that does not sum to 1, a negative count, a threshold out
+  of range.  The type that owns a domain raises it.
   MaximalPath, MinimalPath and OrbitOverflow are its named kinds for the
   paths the adic map is undefined on and a rank outside its fiber.
 - TooLarge for a size refused by a cap: the argument is in the domain,
   but the work is not done.
 
 The command line exits 2 on the first and 1 on the second.
+
+A weight, a point of [0, 1) and an epsilon become exact through one rule,
+require_real: a Fraction comes back as is, any other finite real number
+is read exactly, and text, None, a complex number, NaN or an infinity
+is an InvalidArgument.  A weight or a point reads a float's exact binary
+value; an epsilon reads a float's shortest decimal (measure.epsilon_fraction).
 """
 
+from fractions import Fraction
 from math import inf, isfinite
+from numbers import Rational, Real
 
 from .rationals import digit_count, int_text
 
@@ -49,6 +58,21 @@ def require_threshold(name: str, value: float, most: float = inf) -> None:
     if not (isfinite(value) and 0 <= value <= most):
         span = f"in [0, {most}]" if isfinite(most) else "at least 0"
         raise InvalidArgument(f"{name} {value} must be a finite number {span}")
+
+
+def require_real(name: str, value) -> Fraction:
+    """value as an exact Fraction: a Fraction as is, a rational such as an
+    int by its numerator and denominator, any other finite real number
+    (a float, a numpy float) by its exact binary value.  Anything else is
+    an InvalidArgument: Fraction would parse text, and NaN or an infinity
+    has no Fraction."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational):  # numpy's integers have no as_integer_ratio
+        return Fraction(value)
+    if isinstance(value, Real) and isfinite(value):
+        return Fraction(*value.as_integer_ratio())
+    raise InvalidArgument(f"{name} {value!r} is not a finite real number")
 
 
 def require_within_cap(subject: str, items: str, count: int, cap: int) -> None:

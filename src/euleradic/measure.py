@@ -35,12 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, comb, factorial
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, TooLarge, require_at_least
+from .errors import InvalidArgument, TooLarge, require_at_least, require_real
 from .graph import EdgeRef, Turn, Vertex, bundle_sizes, eulerian_row
 from .paths import (
     FinitePath,
@@ -76,16 +75,13 @@ class WeightSystem:
         return cls("symmetric", lambda e: level_weight(e.source.level))
 
     def weight(self, e: EdgeRef) -> Fraction:
-        """fn(e) as a Fraction (a Fraction is returned as is); a Fraction's
-        denominator is positive, so its sign is the numerator's.  A weight
-        is a finite real number: Fraction would also parse text, which is
-        refused here, and NaN or an infinity has no Fraction."""
+        """fn(e) as a Fraction, read by errors.require_real (a Fraction is
+        returned as is); a Fraction's denominator is positive, so its sign
+        is the numerator's.  The Fraction test stays inline: the reader's
+        name for the edge is built only for a weight of another type."""
         w = self.fn(e)
         if type(w) is not Fraction:
-            try:
-                w = Fraction(w if isinstance(w, Real) else None)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidArgument(f"weight {w!r} on {e} is not a finite real number") from None
+            w = require_real(f"weight on {e}", w)
         if w.numerator <= 0:
             raise InvalidArgument(f"non-positive weight {w} on {e}")
         return w
@@ -378,9 +374,11 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
 
 
 def epsilon_fraction(epsilon) -> Fraction:
-    """epsilon as an exact Fraction.  A float is read through its shortest
-    decimal repr, so 0.1 means 1/10 and not the binary double nearest it."""
-    return Fraction(str(epsilon) if isinstance(epsilon, float) else epsilon)
+    """epsilon as an exact Fraction, once errors.require_real has found it
+    a finite real number.  A float is read through its shortest decimal
+    repr, so 0.1 means 1/10 and not the binary double nearest it."""
+    eps = require_real("epsilon", epsilon)
+    return Fraction(str(epsilon)) if isinstance(epsilon, float) else eps
 
 
 def tail_threshold(n: int, epsilon) -> int:
@@ -409,7 +407,7 @@ def column_tail(n: int, epsilon) -> Fraction:
             f"use column_tail_bounds for n = {n}"
         )
     t = tail_threshold(n, epsilon)
-    if t == 0:
+    if t <= 0:  # a negative epsilon also holds every column
         return Fraction(1)
     x = (n - t) // 2
     half = sum((-1) ** i * comb(n + 1, i) * (x + 1 - i) ** (n + 1) for i in range(x + 1))

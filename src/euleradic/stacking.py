@@ -24,7 +24,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import InvalidArgument, require_within_cap
+from .errors import InvalidArgument, require_real, require_within_cap
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, successor_code
 
 
@@ -40,10 +40,6 @@ def code_index(digits) -> int:
     for m, j in enumerate(digits):
         index = index * (m + 2) + j
     return index
-
-
-def _fraction(u) -> Fraction:
-    return u if type(u) is Fraction else Fraction(u)
 
 
 def code_at(u: Fraction, n: int) -> tuple[int, tuple]:
@@ -68,8 +64,9 @@ def decode_path(p: FinitePath) -> tuple[Fraction, Fraction]:
 
 
 def encode_point(u, n: int) -> FinitePath:
-    """The unique length-n path whose stage-n interval contains u."""
-    return FinitePath._trusted(code_at(_fraction(u), n)[1])
+    """The unique length-n path whose stage-n interval contains u, a finite
+    real number read exactly (errors.require_real)."""
+    return FinitePath._trusted(code_at(require_real("point", u), n)[1])
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,10 @@ def stage_map(layout: StackLayout, u) -> Optional[Fraction]:
 
     Translates u from its interval onto the successor path's interval at
     the same relative offset; None (undefined) on the top of each stack,
-    that is when u lies in a maximal path's interval.
+    that is when u lies in a maximal path's interval.  u is a finite real
+    number, read exactly (errors.require_real).
     """
-    u = _fraction(u)
-    n = layout.stage
+    u, n = require_real("point", u), layout.stage
     index, digits = code_at(u, n)
     nxt = successor_code(digits)
     if nxt is None:

@@ -8,6 +8,7 @@ are named kinds of it; TooLarge, a size refused by a cap, is not.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from euleradic import (
     chebyshev_experiment,
     column_distribution_dp,
     column_tail,
+    column_tail_bounds,
     encode_point,
     enumerate_paths_to,
     eulerian_row,
@@ -41,6 +43,7 @@ from euleradic import (
     path_from_out_indices,
     path_with_rank,
     predecessor,
+    stage_map,
     successor,
     transition_probs,
     variance_experiment,
@@ -50,6 +53,18 @@ from euleradic import (
 ROOT_EDGE = EdgeRef(Vertex(0, 0), Turn.LEFT, 0)
 PATH = FinitePath.from_text("R0.L1.R1")  # into (3, 2)
 CFG = RngConfig(1)
+# a point or an epsilon that is not a finite real number, each read by
+# errors.require_real: Fraction would parse the text, and has no NaN or ∞
+NOT_REAL = {"NaN": float("nan"), "infinite": float("inf"), "None": None}
+POINT_READERS = {
+    "encode_point": lambda u: encode_point(u, 3),
+    "stage_map": lambda u: stage_map(build_stage(3), u),
+}
+EPSILON_READERS = {
+    "column_tail": lambda eps: column_tail(10, eps),
+    "column_tail_bounds": lambda eps: column_tail_bounds(10, eps),
+    "chebyshev_experiment": lambda eps: chebyshev_experiment(10, eps, 10, CFG),
+}
 
 CONTRACT = {
     "vertex column above its level": lambda: Vertex(2, 3),
@@ -83,6 +98,12 @@ CONTRACT = {
     "exact tail level": lambda: column_tail(601, Fraction(1, 10)),
     "stage below 0": lambda: build_stage(-1),
     "point outside [0, 1)": lambda: encode_point(Fraction(3, 2), 3),
+    **{f"point {label} to {name}": partial(call, bad)
+       for label, bad in {**NOT_REAL, "as text": "1/2"}.items()
+       for name, call in POINT_READERS.items()},
+    **{f"epsilon {label} to {name}": partial(call, bad)
+       for label, bad in {**NOT_REAL, "as text": "1/10"}.items()
+       for name, call in EPSILON_READERS.items()},
     "out-edge index": lambda: path_from_out_indices((0, 3)),
     "cap below 0": lambda: enumerate_paths_to(Vertex(3, 1), cap=-1),
     "threshold NaN": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 5,

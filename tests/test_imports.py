@@ -146,6 +146,12 @@ def test_only_measure_reads_the_tail_route_constants():
     assert _readers(TAIL_ROUTE_NAMES) <= {"measure"}
 
 
+def test_only_errors_states_the_finite_real_rule():
+    # errors.require_real reads every weight, point and epsilon; a second
+    # reader of numbers.Real would be a second rule
+    assert _readers({"Real"}) == {"errors"}
+
+
 def test_only_paths_reads_eulerian_lookup():
     # one Eulerian number is graph.eulerian, the closed form; the memo's
     # unchecked reader serves the rank descents of paths alone

@@ -508,8 +508,9 @@ def test_tail_exact_routes_agree():
 
 
 def test_tail_closed_form_matches_row_sums(monkeypatch):
+    # a negative epsilon holds every column: the tail is 1, not two halves
     epsilons = (0, Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), 1, 3, 0.1,
-                Fraction(1, 10**20))
+                Fraction(1, 10**20), Fraction(-1, 2), -0.25)
     expected = {}
     for n in range(61):
         row = eulerian_row(n)
