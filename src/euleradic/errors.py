@@ -1,7 +1,8 @@
 """Exception types shared across the package, the check that turns a
-count below its least value into an InvalidArgument, the check that
-refuses a count above its cap with a TooLarge, the check of a pass/fail
-threshold, and the one reader of a number from outside (require_real).
+count below its least value into an InvalidArgument, the check that an
+index is an integer, the check that refuses a count above its cap with a
+TooLarge, the check of a pass/fail threshold, and the one reader of a
+number from outside (require_real).
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
@@ -9,11 +10,12 @@ The policy has two kinds:
 
 - InvalidArgument (also a ValueError) for every argument outside the
   domain of its call: a vertex off the triangle, a copy outside its
-  bundle, path text that is not canonical, a level index outside a path,
-  paths of different lengths, a weight that is not a positive finite
-  real number, a point or epsilon that is not a finite real number, a
-  column law that does not sum to 1, a negative count, a threshold out
-  of range.  The type that owns a domain raises it.
+  bundle, a copy, out-edge index or rank that is not an integer, path
+  text that is not canonical, a level index outside a path, paths of
+  different lengths, a weight that is not a positive finite real number,
+  a point or epsilon that is not a finite real number, a column law that
+  does not sum to 1, a negative count or stage, a threshold out of
+  range.  The type that owns a domain raises it.
   MaximalPath, MinimalPath and OrbitOverflow are its named kinds for the
   paths the adic map is undefined on and a rank outside its fiber.
 - TooLarge for a size refused by a cap: the argument is in the domain,
@@ -30,7 +32,7 @@ value; an epsilon reads a float's shortest decimal (measure.epsilon_fraction).
 
 from fractions import Fraction
 from math import inf, isfinite
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 
 from .rationals import digit_count, int_text
 
@@ -49,6 +51,14 @@ def require_at_least(name: str, value: int, least: int = 0) -> None:
     would otherwise run an empty loop and report success."""
     if value < least:
         raise InvalidArgument(f"{name} {value} must be at least {least}")
+
+
+def require_integer(name: str, value) -> None:
+    """Raise InvalidArgument unless value is an integer: an int or a numpy
+    integer (numbers.Integral).  A float or a Fraction is refused even when
+    whole, since its digits would print into a path."""
+    if type(value) is not int and not isinstance(value, Integral):
+        raise InvalidArgument(f"{name} {value!r} is not an integer")
 
 
 def require_threshold(name: str, value: float, most: float = inf) -> None:

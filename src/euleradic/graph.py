@@ -52,7 +52,7 @@ from enum import Enum
 from math import comb
 from typing import Callable
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, require_at_least, require_integer
 
 
 class Turn(Enum):
@@ -98,6 +98,8 @@ class EdgeRef:
     def __post_init__(self):
         if not isinstance(self.turn, Turn):
             raise InvalidArgument(f"{self.turn!r} is not a Turn")
+        if type(self.copy) is not int:  # the int test spares the call per edge
+            require_integer("copy", self.copy)
         left, right = bundle_sizes(self.source.level, self.source.column)
         size = left if self.turn is Turn.LEFT else right
         if not 0 <= self.copy < size:
@@ -201,8 +203,7 @@ def eulerian_lookup(n: int) -> Callable[[int, int], int]:
 def eulerian_row(n: int) -> tuple[int, ...]:
     """The full row A(n, 0..n) from the memo: columns 0..n//2 are read, and
     the mirrored half shares their ints."""
-    if n < 0:
-        raise InvalidArgument(f"negative level {n} has no triangle row")
+    require_at_least("triangle row level", n)
     a = _TRIANGLE.lookup(n)
     half = [a(n, k) for k in range(n // 2 + 1)]
     return (*half, *reversed(half[: (n + 1) // 2]))

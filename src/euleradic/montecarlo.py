@@ -51,8 +51,6 @@ from .measure import (
 from .paths import FinitePath, orbit_codes, path_from_out_indices
 from .rationals import jsonable, stable_json
 
-SCHEMA_REPORT = "euleradic/report/1"
-SCHEMA_MEETING = "euleradic/meeting/1"
 MIN_GAP_GROUP = 100  # pair drift judges only gap groups with this many samples
 
 
@@ -75,8 +73,7 @@ class RngConfig:
         # numpy's SeedSequence rejects a negative seed, but only once a
         # generator is drawn
         require_at_least("seed", self.master_seed)
-        if self.replicas < 1:
-            raise InvalidArgument("replica count must be positive")
+        require_at_least("replica count", self.replicas, least=1)
 
     def generator(self, replica: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(replica,))
@@ -87,12 +84,8 @@ class RngConfig:
         return [base + (1 if i < rem else 0) for i in range(self.replicas)]
 
     def describe(self) -> dict:
-        return {
-            "algorithm": "PCG64",
-            "master_seed": self.master_seed,
-            "replicas": self.replicas,
-            "derivation": "SeedSequence(master_seed, spawn_key=(replica,))",
-        }
+        derivation = "SeedSequence(master_seed, spawn_key=(replica,))"
+        return {"algorithm": "PCG64", "derivation": derivation} | jsonable(self)
 
 
 # --- reports ------------------------------------------------------------------
@@ -116,7 +109,7 @@ class StatReport:
     notes: tuple = ()
 
     def to_json(self) -> str:
-        return stable_json({"schema": SCHEMA_REPORT} | jsonable(self))
+        return stable_json({"schema": "euleradic/report/1"} | jsonable(self))
 
 
 @dataclass
@@ -126,14 +119,14 @@ class MeetingStats:
     sigma is the first level where a pair's columns differ; a meeting is
     any later level where they agree again.  Pairs that never diverge by
     the horizon are excluded from sigma statistics and counted as having
-    no meetings (reported separately).  Per-pair arrays stay available for
-    tests; the JSON carries aggregates only.
+    no meetings (reported separately).  params holds the call's arguments,
+    as in StatReport.  The per-pair arrays and the series stay available
+    for tests; they are repr=False, so the JSON (rationals.jsonable)
+    carries the aggregates only.
     """
 
-    n_max: int
-    reps: int
+    params: dict
     rng: dict
-    min_meetings: int
     never_diverged: int
     fraction_with_min: float
     mean_meetings: float
@@ -146,19 +139,7 @@ class MeetingStats:
     series: Optional[list] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA_MEETING,
-            "params": {"n_max": self.n_max, "reps": self.reps,
-                       "min_meetings": self.min_meetings},
-            "rng": self.rng,
-            "never_diverged": self.never_diverged,
-            "fraction_with_min": self.fraction_with_min,
-            "mean_meetings": self.mean_meetings,
-            "median_meetings": self.median_meetings,
-            "sigma_median": self.sigma_median,
-            "lag_histogram": self.lag_histogram,
-        }
-        return stable_json(payload)
+        return stable_json({"schema": "euleradic/meeting/1"} | jsonable(self))
 
 
 # --- sampling primitives ------------------------------------------------------
@@ -385,14 +366,10 @@ def meeting_experiment(
     frac = float((meet >= min_meetings).mean())
     lags, counts = np.unique(lag[lag >= 0], return_counts=True)
     hist = [[int(a), int(b)] for a, b in zip(lags, counts)]
-    series = None
-    if keep_series:
-        series = [(n, h / reps) for n, h in enumerate(hits.sum(axis=0))]
+    series = [(n, h / reps) for n, h in enumerate(hits.sum(axis=0))] if keep_series else None
     return MeetingStats(
-        n_max=n_max,
-        reps=reps,
+        params={"n_max": n_max, "reps": reps, "min_meetings": min_meetings},
         rng=cfg.describe(),
-        min_meetings=min_meetings,
         never_diverged=never,
         fraction_with_min=frac,
         mean_meetings=float(meet.mean()),

@@ -43,7 +43,8 @@ from enum import Enum
 from operator import sub
 from typing import Iterator
 
-from .errors import InvalidArgument, MaximalPath, MinimalPath, OrbitOverflow, require_within_cap
+from .errors import (InvalidArgument, MaximalPath, MinimalPath, OrbitOverflow, require_integer,
+                     require_within_cap)
 from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_lookup
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -179,6 +180,7 @@ def path_from_out_indices(indices) -> FinitePath:
     """Build a path from its per-level out-edge indices j_m in [0, m+2)."""
     digits = tuple(indices)
     for m, j in enumerate(digits):
+        require_integer(f"level {m}: out-edge index", j)
         if not 0 <= j < m + 2:
             raise InvalidArgument(f"level {m}: out-edge index {j} outside [0, {m + 2})")
     return FinitePath._trusted(digits)
@@ -367,7 +369,10 @@ def orbit_rank(p: FinitePath) -> int:
 
 
 def path_with_rank(v: Vertex, rank: int) -> FinitePath:
-    """The unique path into v with the given orbit rank (inverse of orbit_rank)."""
+    """The unique path into v with the given orbit rank (inverse of orbit_rank);
+    a rank that is not an integer is an InvalidArgument, one outside the
+    fiber an OrbitOverflow."""
+    require_integer("rank", rank)
     a = eulerian_lookup(v.level)
     total = a(v.level, v.column)
     if not 0 <= rank < total:
@@ -397,6 +402,4 @@ def iterate(p: FinitePath, steps: int) -> FinitePath:
     Raises OrbitOverflow (from path_with_rank) when the target rank leaves
     [0, A(n,k)-1]; the orbit of a fiber is a finite segment, not a cycle.
     """
-    if steps == 0:
-        return p
     return path_with_rank(p.terminal, orbit_rank(p) + steps)

@@ -49,11 +49,18 @@ def float_text(x: float) -> str:
 
 
 def jsonable(obj):
-    """Convert nested values to JSON-safe types; Fractions become "p/q"."""
+    """Convert nested values to JSON-safe types; Fractions become "p/q".
+
+    A dataclass becomes the dict of its fields, less those declared
+    repr=False: a field kept off the repr (a per-sample array, say) is kept
+    off the JSON too.  Any other value without a JSON form, such as a numpy
+    scalar or array or an enum, is a TypeError.
+    """
     if isinstance(obj, Fraction):
         return fraction_to_text(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -80,6 +80,9 @@ class StackLayout:
 
     stage: int
 
+    def __post_init__(self):
+        _check_stage(self.stage)
+
     @property
     def interval_width(self) -> Fraction:
         return Fraction(1, factorial(self.stage + 1))
@@ -97,9 +100,9 @@ class StackLayout:
 def build_stage(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StackLayout:
     """The stage-n layout; refuses negative stages and caps, and stages with
     more than cap intervals."""
-    _check_stage(n)
+    layout = StackLayout(n)
     require_within_cap(f"stage {n}", "intervals", factorial(n + 1), cap)
-    return StackLayout(n)
+    return layout
 
 
 def stage_map(layout: StackLayout, u) -> Optional[Fraction]:

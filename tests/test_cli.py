@@ -9,6 +9,7 @@ import hashlib
 import json
 import shlex
 import sys
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
@@ -16,7 +17,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from euleradic import PushforwardReport, Turn, Vertex, cli, path_count_between
+from euleradic import (PushforwardReport, RngConfig, Turn, Vertex, cli, meeting_experiment,
+                       path_count_between)
 from euleradic.cli import main
 from euleradic.rationals import digit_count, fraction_to_text, int_text, jsonable
 
@@ -108,6 +110,30 @@ def test_reports_serialize_only_what_they_hold():
             jsonable(value)
         with pytest.raises(TypeError):
             jsonable({"nested": [value]})
+
+    # a dataclass field kept off the repr is kept off the JSON; the same
+    # field on the repr still fails loudly
+    @dataclass
+    class Hidden:
+        total: int
+        samples: np.ndarray = field(repr=False)
+
+    @dataclass
+    class Shown:
+        total: int
+        samples: np.ndarray
+
+    assert jsonable(Hidden(3, np.arange(3))) == {"total": 3}
+    with pytest.raises(TypeError):
+        jsonable(Shown(3, np.arange(3)))
+    # the meeting report carries its aggregates, not its per-pair arrays
+    stats = meeting_experiment(20, 10, RngConfig(1), keep_series=True)
+    payload = json.loads(stats.to_json())
+    assert sorted(payload) == [
+        "fraction_with_min", "lag_histogram", "mean_meetings", "median_meetings",
+        "never_diverged", "params", "rng", "schema", "sigma_median",
+    ]
+    assert payload["params"] == {"n_max": 20, "reps": 10, "min_meetings": 5}
 
 
 @pytest.mark.parametrize("argv", ["orbit --vertex 2,1", "stack --stage 2"])

@@ -10,6 +10,7 @@ are named kinds of it; TooLarge, a size refused by a cap, is not.
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from euleradic import (
@@ -22,6 +23,7 @@ from euleradic import (
     MinimalPath,
     OrbitOverflow,
     RngConfig,
+    StackLayout,
     TooLarge,
     Turn,
     Vertex,
@@ -72,7 +74,12 @@ CONTRACT = {
     "vertex level below 0": lambda: Vertex(-1, 0),
     "edge turn": lambda: EdgeRef(Vertex(1, 0), "L", 0),
     "edge copy": lambda: EdgeRef(Vertex(1, 0), Turn.LEFT, 1),
+    # a copy, out-edge index or rank that is not an integer, whole or not,
+    # would print its digits into a path
+    "edge copy not an integer": lambda: EdgeRef(Vertex(1, 0), Turn.RIGHT, 1.0),
     "path steps": lambda: FinitePath(((Turn.RIGHT, 1),)),
+    "path step copy not an integer": lambda: FinitePath(((Turn.LEFT, 0.5),)),
+    "extended copy not an integer": lambda: FinitePath.from_text("R0").extended(Turn.LEFT, 0.5),
     "path text": lambda: FinitePath.from_text("X1"),
     "path text not canonical": lambda: FinitePath.from_text("L00"),
     "column_at level": lambda: PATH.column_at(4),
@@ -83,6 +90,9 @@ CONTRACT = {
     "predecessor of a minimal path": lambda: predecessor(min_path_to(Vertex(3, 2))),
     "path_with_rank overflow": lambda: path_with_rank(Vertex(2, 1), 4),
     "iterate overflow": lambda: iterate(PATH, 10),
+    "path_with_rank rank not an integer": lambda: path_with_rank(Vertex(3, 1), 1.5),
+    "path_with_rank rank a whole float": lambda: path_with_rank(Vertex(3, 1), 1.0),
+    "iterate steps not an integer": lambda: iterate(PATH, 0.5),
     "weight as text": lambda: WeightSystem("text", lambda e: "1/2").weight(ROOT_EDGE),
     "weight None": lambda: WeightSystem("none", lambda e: None).weight(ROOT_EDGE),
     "weight NaN": lambda: WeightSystem("nan", lambda e: float("nan")).weight(ROOT_EDGE),
@@ -97,6 +107,7 @@ CONTRACT = {
     "triangle row below 0": lambda: eulerian_row(-1),
     "exact tail level": lambda: column_tail(601, Fraction(1, 10)),
     "stage below 0": lambda: build_stage(-1),
+    "stack layout stage below 0": lambda: StackLayout(-1),
     "point outside [0, 1)": lambda: encode_point(Fraction(3, 2), 3),
     **{f"point {label} to {name}": partial(call, bad)
        for label, bad in {**NOT_REAL, "as text": "1/2"}.items()
@@ -105,6 +116,7 @@ CONTRACT = {
        for label, bad in {**NOT_REAL, "as text": "1/10"}.items()
        for name, call in EPSILON_READERS.items()},
     "out-edge index": lambda: path_from_out_indices((0, 3)),
+    "out-edge index not an integer": lambda: path_from_out_indices([0.5, 2]),
     "cap below 0": lambda: enumerate_paths_to(Vertex(3, 1), cap=-1),
     "threshold NaN": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 5,
                                                  tolerance=float("nan")),
@@ -119,6 +131,13 @@ def test_out_of_domain_argument_is_invalid(call):
         call()
     assert isinstance(info.value, ValueError)
     assert str(info.value)
+
+
+def test_numpy_integers_are_integers():
+    # an integer array's elements name a copy, an out-edge index or a rank
+    assert FinitePath(((Turn.RIGHT, np.int64(0)),)) == FinitePath.from_text("R0")
+    assert path_from_out_indices(np.array([1, 2])) == FinitePath.from_text("R0.R0")
+    assert path_with_rank(Vertex(2, 1), np.int32(0)) == min_path_to(Vertex(2, 1))
 
 
 def test_named_kinds_are_invalid_arguments_caught_by_name():
