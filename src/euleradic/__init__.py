@@ -41,6 +41,7 @@ from .paths import (
 from .measure import (
     ColumnDistribution,
     InvarianceReport,
+    InvarianceRun,
     MomentRow,
     PushforwardReport,
     WeightSystem,
@@ -50,7 +51,9 @@ from .measure import (
     column_tail,
     column_tail_bounds,
     cylinder_measure,
+    drift_table,
     exact_moments,
+    invariance_run,
     pair_drift,
     pushforward_check,
     transition_probs,

@@ -8,6 +8,12 @@ passed, 1 check failure or operation error, 2 usage error.
 Identical invocations produce byte-identical output; seeds fully
 determine every experiment (see the montecarlo module for the replica
 derivation rule).
+
+This module parses, prints and maps verdicts to exit codes.  Every
+verdict and every argument domain belongs to the library: a report's
+passed (montecarlo's reports, the meeting threshold included, and
+measure.invariance_run), the sign check's count (measure.drift_table),
+and the InvalidArgument of an argument outside its domain.
 """
 
 from __future__ import annotations
@@ -19,15 +25,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import EulerAdicError, InvalidArgument, require_at_least, require_threshold
+from .errors import EulerAdicError, InvalidArgument, require_at_least
 from .graph import Vertex, eulerian_row
-from .measure import (
-    check_invariance_conditions,
-    exact_moments,
-    pair_drift,
-    pushforward_check,
-    WeightSystem,
-)
+from .measure import drift_table, exact_moments, invariance_run
 from .montecarlo import (
     RngConfig,
     birkhoff_experiment,
@@ -38,7 +38,7 @@ from .montecarlo import (
 )
 from .paths import (DEFAULT_ENUMERATION_CAP, FinitePath, code_columns, code_text, fiber_codes,
                     rank_code, successor_bump)
-from .rationals import fraction_to_text, float_text, int_text, jsonable, stable_json
+from .rationals import fraction_to_text, float_text, int_text
 from .stacking import build_stage
 
 
@@ -116,17 +116,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    require_at_least("invariance levels", args.levels, least=1)
-    require_at_least("pushforward depth", args.pushforward_depth)
-    inv = check_invariance_conditions(WeightSystem.symmetric(), args.levels)
-    push = [pushforward_check(n) for n in range(args.pushforward_depth + 1)]
-    payload = {
-        "schema": "euleradic/invariance/1",
-        "conditions": jsonable(inv) | {"ok": inv.ok},
-        "pushforward": [jsonable(r) | {"ok": r.ok} for r in push],
-    }
-    _emit(stable_json(payload), args.out)
-    return 0 if inv.ok and all(r.ok for r in push) else 1
+    return _report(invariance_run(args.levels, args.pushforward_depth), args.out)
 
 
 def _cmd_moments(args) -> int:
@@ -142,16 +132,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    require_at_least("levels", args.levels)
-    rows = ["n,k,k2,drift"]
-    bad = 0
-    for n in range(args.levels + 1):
-        for k in range(n + 1):
-            for k2 in range(n + 1):
-                d = pair_drift(n, k, k2)
-                if k != k2 and d > 0:
-                    bad += 1
-                rows.append(f"{n},{k},{k2},{fraction_to_text(d)}")
+    table, bad = drift_table(args.levels)
+    rows = ["n,k,k2,drift"] + [f"{n},{k},{k2},{fraction_to_text(d)}" for n, k, k2, d in table]
     _emit("\n".join(rows) + "\n", args.out)
     if bad:
         print(f"sign check failed for {bad} pairs", file=sys.stderr)
@@ -175,34 +157,21 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _cmd_meeting(args) -> int:
-    if args.min_fraction is not None:
-        require_threshold("min fraction", args.min_fraction, 1)
-        require_at_least("n_max", args.nmax)
-        # a pair's columns first differ at level 1 or later, so it meets 0
-        # to nmax - 1 times; a verdict that cannot fail or cannot pass is
-        # refused before any walk
-        if args.min_fraction == 0 or not 0 < args.min_meetings < args.nmax:
-            raise InvalidArgument(f"min fraction {args.min_fraction} with min meetings "
-                                  f"{args.min_meetings} decides every run: a pair meets "
-                                  f"0 to {max(args.nmax - 1, 0)} times")
     stats = meeting_experiment(
         args.nmax,
         args.reps,
         RngConfig(args.seed, args.replicas),
         min_meetings=args.min_meetings,
         keep_series=args.series is not None,
+        min_fraction=args.min_fraction,
     )
-    _emit(stats.to_json(), args.out)
+    code = _report(stats, args.out)
     if args.series:
         rows = ["level,value"] + [f"{n},{float_text(v)}" for n, v in stats.series]
         _write_file(args.series, "\n".join(rows) + "\n")
-    if args.min_fraction is not None and stats.fraction_with_min < args.min_fraction:
-        print(
-            f"fraction {stats.fraction_with_min} below {args.min_fraction}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    if code:
+        print(f"fraction {stats.fraction_with_min} below {stats.min_fraction}", file=sys.stderr)
+    return code
 
 
 def _cmd_birkhoff(args) -> int:

@@ -1,8 +1,8 @@
 """Exception types shared across the package, the check that turns a
-count below its least value into an InvalidArgument, the check that an
-index is an integer, the check that refuses a count above its cap with a
-TooLarge, the check of a pass/fail threshold, and the one reader of a
-number from outside (require_real).
+count that is not an integer or lies below its least value into an
+InvalidArgument, the check that an index is an integer, the check that
+refuses a count above its cap with a TooLarge, the check of a pass/fail
+threshold, and the one reader of a number from outside (require_real).
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
@@ -10,18 +10,25 @@ The policy has two kinds:
 
 - InvalidArgument (also a ValueError) for every argument outside the
   domain of its call: a vertex off the triangle, a copy outside its
-  bundle, a copy, out-edge index or rank that is not an integer, path
-  text that is not canonical, a level index outside a path, paths of
-  different lengths, a weight that is not a positive finite real number,
-  a point or epsilon that is not a finite real number, a column law that
-  does not sum to 1, a negative count or stage, a threshold out of
-  range.  The type that owns a domain raises it.
+  bundle, a count, level, column, stage, copy, out-edge index or rank
+  that is not an integer, path text that is not canonical, a level index
+  outside a path, paths of different lengths, a weight that is not a
+  positive finite real number, a point or epsilon that is not a finite
+  real number, a column law that does not sum to 1, a negative count or
+  stage, a threshold out of range.  The type that owns a domain raises
+  it.
   MaximalPath, MinimalPath and OrbitOverflow are its named kinds for the
   paths the adic map is undefined on and a rank outside its fiber.
 - TooLarge for a size refused by a cap: the argument is in the domain,
   but the work is not done.
 
 The command line exits 2 on the first and 1 on the second.
+
+A count (a level, a stage, a sample or replica count, a seed, a cap, a
+budget) is an integer, as are a copy, an out-edge index and a rank:
+require_at_least reads every count through require_integer, which takes
+an int or any numbers.Integral (a numpy integer, and bool, so True counts
+as 1), and refuses a float or a Fraction even when whole, and NaN.
 
 A weight, a point of [0, 1) and an epsilon become exact through one rule,
 require_real: a Fraction comes back as is, any other finite real number
@@ -47,8 +54,11 @@ class InvalidArgument(EulerAdicError, ValueError):
 
 
 def require_at_least(name: str, value: int, least: int = 0) -> None:
-    """Raise InvalidArgument when a count lies below least; a negative count
-    would otherwise run an empty loop and report success."""
+    """Raise InvalidArgument when a count is not an integer or lies below
+    least; a negative count would otherwise run an empty loop and report
+    success, and NaN compares false with every least."""
+    if type(value) is not int:  # the int test spares the call per count
+        require_integer(name, value)
     if value < least:
         raise InvalidArgument(f"{name} {value} must be at least {least}")
 

@@ -70,6 +70,10 @@ class Vertex:
     column: int
 
     def __post_init__(self):
+        # the int test spares the calls per vertex, as in EdgeRef
+        if type(self.level) is not int or type(self.column) is not int:
+            require_integer("level", self.level)
+            require_integer("column", self.column)
         if not 0 <= self.column <= self.level:
             raise InvalidArgument(f"column {self.column} outside level {self.level}")
 

@@ -27,11 +27,15 @@ Eulerian route, and the certified tail enclosure beyond the exact tail's
 budget, whose int64 rows round down and up to rational bounds.  tail_reference
 chooses between the exact tail and the enclosure, and tail_columns is the
 one statement of the tail set, which the enclosure and chebyshev read.
+
+Two verdicts are made here: invariance_run holds the local conditions and
+the pushforward checks of the symmetric system, passed when each stored ok
+is true, and drift_table counts the off-diagonal pairs of positive drift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import ceil, comb, factorial
@@ -49,6 +53,7 @@ from .paths import (
     step_for_out_index,
     successor_bump,
 )
+from .rationals import jsonable, stable_json
 
 EXACT_TAIL_BUDGET = 600  # largest level for the exact Irwin-Hall tail
 ENCLOSURE_DENOM_BITS = 44  # fixed-point denominator 2**44 for the enclosure
@@ -118,10 +123,10 @@ class InvarianceReport:
     parallel_checked: int
     diamonds_checked: int
     violation: Optional[str]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.violation is None)
 
 
 def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceReport:
@@ -183,14 +188,12 @@ class PushforwardReport:
     boundary_maximal: int
     mismatches: int
     first_mismatch: Optional[str]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.mismatches == 0
-            and self.boundary_minimal == self.level + 1
-            and self.boundary_maximal == self.level + 1
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.mismatches == 0
+                           and self.boundary_minimal == self.level + 1
+                           and self.boundary_maximal == self.level + 1)
 
 
 def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardReport:
@@ -224,6 +227,33 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
                              f"{code_text(prev)}")
             prev, q_num, q_den = code, p_num, p_den
     return PushforwardReport(n, cylinders, boundary_min, boundary_max, mismatches, first)
+
+
+@dataclass(frozen=True)
+class InvarianceRun:
+    """The symmetric system's local conditions and its pushforward check at
+    each length; passed when every part is ok.  Its JSON is the invariance
+    command's report."""
+
+    conditions: InvarianceReport
+    pushforward: tuple[PushforwardReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.conditions.ok and all(r.ok for r in self.pushforward)
+
+    def to_json(self) -> str:
+        return stable_json({"schema": "euleradic/invariance/1"} | jsonable(self))
+
+
+def invariance_run(levels: int, depth: int) -> InvarianceRun:
+    """check_invariance_conditions of the symmetric system below levels and
+    pushforward_check at each length 0..depth.  Levels below 1 would pass
+    on no checks at all, so they are an InvalidArgument."""
+    require_at_least("invariance levels", levels, least=1)
+    require_at_least("pushforward depth", depth)
+    return InvarianceRun(check_invariance_conditions(WeightSystem.symmetric(), levels),
+                         tuple(pushforward_check(n) for n in range(depth + 1)))
 
 
 # --- the column chain --------------------------------------------------------
@@ -368,6 +398,17 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     total = (step * stay2 * (abs(k + 1 - k2) - gap)
              + stay * step2 * (abs(k - k2 - 1) - gap))
     return Fraction(total, (n + 2) ** 2)
+
+
+def drift_table(levels: int) -> tuple[list[tuple[int, int, int, Fraction]], int]:
+    """(n, k, k2, pair_drift(n, k, k2)) for every level n in 0..levels and
+    columns k, k2 in 0..n, in that order, and the sign check: the count of
+    pairs k != k2 whose drift is positive, which is 0, since the gap of two
+    independent chains never grows in expectation."""
+    require_at_least("levels", levels)
+    rows = [(n, k, k2, pair_drift(n, k, k2))
+            for n in range(levels + 1) for k in range(n + 1) for k2 in range(n + 1)]
+    return rows, sum(k != k2 and d > 0 for _, k, k2, d in rows)
 
 
 # --- tail probabilities ------------------------------------------------------

@@ -25,6 +25,11 @@ reports need (a float64 surplus, int64 meeting counts, narrow integer
 gaps and gap increments), concatenated in replica order.  So a seeded
 experiment holds one replica's walk, 16 bytes per path, plus those
 sample-long arrays.
+
+Every report carries its verdict as passed, read from the numbers it
+stores: StatReport stores it, and MeetingStats reads its fraction against
+the min_fraction threshold of meeting_experiment, which refuses a
+threshold that decides every run before any walk.
 """
 
 from __future__ import annotations
@@ -120,9 +125,10 @@ class MeetingStats:
     any later level where they agree again.  Pairs that never diverge by
     the horizon are excluded from sigma statistics and counted as having
     no meetings (reported separately).  params holds the call's arguments,
-    as in StatReport.  The per-pair arrays and the series stay available
-    for tests; they are repr=False, so the JSON (rationals.jsonable)
-    carries the aggregates only.
+    as in StatReport.  The per-pair arrays, the series and the min_fraction
+    threshold stay available for tests and the verdict; they are
+    repr=False, so the JSON (rationals.jsonable) carries the aggregates
+    only.  passed reads the stored fraction and threshold.
     """
 
     params: dict
@@ -137,6 +143,13 @@ class MeetingStats:
     sigma_per_pair: np.ndarray = field(repr=False, compare=False)
     first_lag_per_pair: np.ndarray = field(repr=False, compare=False)
     series: Optional[list] = field(default=None, repr=False, compare=False)
+    min_fraction: Optional[float] = field(default=None, repr=False)
+
+    @property
+    def passed(self) -> bool:
+        """False only when a threshold was given and the fraction of pairs
+        with at least min_meetings meetings lies below it."""
+        return self.min_fraction is None or self.fraction_with_min >= self.min_fraction
 
     def to_json(self) -> str:
         return stable_json({"schema": "euleradic/meeting/1"} | jsonable(self))
@@ -318,6 +331,7 @@ def meeting_experiment(
     cfg: RngConfig,
     min_meetings: int = 5,
     keep_series: bool = False,
+    min_fraction: Optional[float] = None,
 ) -> MeetingStats:
     """Simulate independent path pairs and their column coincidences.
 
@@ -325,8 +339,21 @@ def meeting_experiment(
     are the later levels with equal columns, the first lag is the gap
     from sigma to the first meeting.  keep_series also returns, per level
     0..n_max, the fraction of pairs whose columns coincide there.
+
+    min_fraction, when given, is the verdict's threshold in [0, 1]: the
+    report is passed when at least that fraction of pairs meets
+    min_meetings times or more.  A pair's columns first differ at level 1
+    or later, so it meets 0 to n_max - 1 times; a threshold of 0, or
+    min_meetings outside 1..n_max - 1, decides every run, and is an
+    InvalidArgument before any walk.
     """
+    if min_fraction is not None:
+        require_threshold("min fraction", min_fraction, 1)
     require_at_least("n_max", n_max)
+    if min_fraction is not None and (min_fraction == 0 or not 0 < min_meetings < n_max):
+        raise InvalidArgument(f"min fraction {min_fraction} with min meetings "
+                              f"{min_meetings} decides every run: a pair meets "
+                              f"0 to {max(n_max - 1, 0)} times")
     require_at_least("min_meetings", min_meetings)
 
     def run(rng, m):
@@ -380,6 +407,7 @@ def meeting_experiment(
         sigma_per_pair=sigma,
         first_lag_per_pair=lag,
         series=series,
+        min_fraction=min_fraction,
     )
 
 

@@ -24,11 +24,13 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import InvalidArgument, require_real, require_within_cap
+from .errors import InvalidArgument, require_integer, require_real, require_within_cap
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, successor_code
 
 
 def _check_stage(n: int) -> None:
+    if type(n) is not int:  # the int test spares the call per point
+        require_integer("stage", n)
     if n < 0:
         raise InvalidArgument(f"stage {n} is negative")
 

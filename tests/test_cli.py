@@ -17,8 +17,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from euleradic import (PushforwardReport, RngConfig, Turn, Vertex, cli, meeting_experiment,
-                       path_count_between)
+from euleradic import (PushforwardReport, RngConfig, Turn, Vertex, cli, measure,
+                       meeting_experiment, path_count_between)
 from euleradic.cli import main
 from euleradic.rationals import digit_count, fraction_to_text, int_text, jsonable
 
@@ -162,7 +162,7 @@ def test_invariance_fails_on_a_pushforward_mismatch(capsys, monkeypatch):
     def one_mismatch(n):
         return PushforwardReport(n, 1, n + 1, n + 1, 1, "measure differs")
 
-    monkeypatch.setattr(cli, "pushforward_check", one_mismatch)
+    monkeypatch.setattr(measure, "pushforward_check", one_mismatch)
     code, out, err = _run(
         capsys, "invariance", "--levels", "3", "--pushforward-depth", "2"
     )
@@ -194,7 +194,7 @@ def test_drift_table(capsys):
 def test_drift_sign_check_fails_on_a_positive_drift(capsys, monkeypatch):
     # a drift just above 0 on every pair: each of the 20 pairs k != k2 up
     # to level 3 breaks the sign check
-    monkeypatch.setattr(cli, "pair_drift", lambda n, k, k2: Fraction(1, 10**6))
+    monkeypatch.setattr(measure, "pair_drift", lambda n, k, k2: Fraction(1, 10**6))
     code, out, err = _run(capsys, "drift", "--levels", "3")
     assert code == 1
     assert "3,0,1,1/1000000\n" in out

@@ -9,6 +9,7 @@ are named kinds of it; TooLarge, a size refused by a cap, is not.
 
 from fractions import Fraction
 from functools import partial
+from math import nan
 
 import numpy as np
 import pytest
@@ -34,17 +35,21 @@ from euleradic import (
     column_distribution_dp,
     column_tail,
     column_tail_bounds,
+    drift_table,
     encode_point,
     enumerate_paths_to,
     eulerian_row,
     exact_moments,
+    invariance_run,
     iterate,
     max_path_to,
+    meeting_experiment,
     min_path_to,
     pair_drift,
     path_from_out_indices,
     path_with_rank,
     predecessor,
+    sample_experiment,
     stage_map,
     successor,
     transition_probs,
@@ -122,6 +127,33 @@ CONTRACT = {
                                                  tolerance=float("nan")),
     "epsilon 0": lambda: chebyshev_experiment(10, Fraction(0), 10, CFG),
     "reps below 2": lambda: variance_experiment(5, 1, CFG),
+    # a count is an integer: NaN compares false with every least and cap,
+    # and a float or a Fraction would be echoed into a report
+    "enumerate_paths_to cap NaN": lambda: enumerate_paths_to(Vertex(5, 2), cap=nan),
+    "build_stage cap NaN": lambda: build_stage(3, cap=nan),
+    "meeting min_meetings NaN": lambda: meeting_experiment(20, 200, CFG, min_meetings=nan),
+    "meeting min_meetings not an integer":
+        lambda: meeting_experiment(20, 200, CFG, min_meetings=2.5),
+    "seed NaN": lambda: RngConfig(nan),
+    "seed not an integer": lambda: RngConfig(2.5),
+    "replica count not an integer": lambda: RngConfig(1, 2.5),
+    "sample count a Fraction": lambda: sample_experiment(3, Fraction(2), CFG),
+    "vertex level a whole float": lambda: Vertex(2.0, 1),
+    "vertex level not an integer": lambda: Vertex(2.5, 1),
+    "vertex column a Fraction": lambda: Vertex(2, Fraction(1)),
+    "min_path_to vertex level a whole float": lambda: min_path_to(Vertex(3.0, 1)),
+    "stack layout stage not an integer": lambda: StackLayout(2.5),
+    "stack layout stage NaN": lambda: StackLayout(nan),
+    "encode_point stage a whole float": lambda: encode_point(0.3, 2.0),
+    # the verdicts of the invariance, drift and meeting commands
+    "invariance levels below 1": lambda: invariance_run(0, 6),
+    "pushforward depth below 0": lambda: invariance_run(3, -1),
+    "drift levels below 0": lambda: drift_table(-1),
+    "meeting min fraction NaN": lambda: meeting_experiment(5, 10, CFG, min_fraction=nan),
+    "meeting min fraction above 1": lambda: meeting_experiment(5, 10, CFG, min_fraction=1.5),
+    "meeting min fraction 0": lambda: meeting_experiment(5, 10, CFG, min_fraction=0),
+    "meeting min meetings no pair reaches":
+        lambda: meeting_experiment(5, 10, CFG, min_meetings=5, min_fraction=0.5),
 }
 
 

@@ -14,7 +14,8 @@ outside __init__ or in the benchmark, or be named in KEPT_EXPORTS with its
 reason.  The modules also form one stack of layers, and each
 imports only from the layers below it, so an import cycle, or a module
 that no layer names, fails here.  No module raises a bare ValueError: an
-argument outside its domain is an InvalidArgument.
+argument outside its domain is an InvalidArgument, raised by the library:
+the command line raises none and judges no threshold.
 """
 
 import ast
@@ -205,3 +206,14 @@ def test_no_bare_value_error_is_raised(path):
     # an argument outside its domain is an InvalidArgument, which the command
     # line turns into a usage error; a bare ValueError would be a traceback
     assert "ValueError" not in _raised_names(path.read_text())
+
+
+def test_the_command_line_owns_no_argument_domain():
+    # every domain and verdict lives in the library: the command line
+    # parses, prints and maps verdicts to exit codes, so it raises no
+    # InvalidArgument and judges no threshold
+    source = (PACKAGE / "cli.py").read_text()
+    assert "InvalidArgument" not in _raised_names(source)
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)}
+    assert "require_threshold" not in called

@@ -11,6 +11,8 @@ surplus 0, surplus variance (n+2)/3, squared increment 4 at level 1 and
 from fractions import Fraction
 from math import ceil, comb, factorial
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,10 @@ from euleradic import (
     column_tail,
     column_tail_bounds,
     cylinder_measure,
+    drift_table,
     enumerate_paths_to,
     exact_moments,
+    invariance_run,
     min_path_to,
     pair_drift,
     pushforward_check,
@@ -290,6 +294,29 @@ def test_pushforward_detects_perturbation():
     )
 
 
+def test_invariance_run_holds_both_checks_and_their_verdict():
+    run = invariance_run(5, 3)
+    assert run.passed
+    assert run.conditions == check_invariance_conditions(WeightSystem.symmetric(), 5)
+    assert run.pushforward == tuple(pushforward_check(n) for n in range(4))
+    # ok is a stored field of each report, so it is in the JSON
+    payload = json.loads(run.to_json())
+    assert payload["schema"] == "euleradic/invariance/1"
+    assert payload["conditions"]["ok"] is True
+    assert [r["ok"] for r in payload["pushforward"]] == [True] * 4
+
+
+def test_invariance_run_fails_on_a_pushforward_mismatch(monkeypatch):
+    def one_mismatch(n):
+        return PushforwardReport(n, 1, n + 1, n + 1, 1, "measure differs")
+
+    monkeypatch.setattr(measure, "pushforward_check", one_mismatch)
+    run = invariance_run(3, 2)
+    assert run.conditions.ok
+    assert [r.ok for r in run.pushforward] == [False] * 3
+    assert not run.passed
+
+
 # --- column chain ------------------------------------------------------------------
 
 
@@ -477,6 +504,23 @@ def test_pair_drift_rejects_columns_outside_the_level():
     for n, k, k2 in ((3, 4, 0), (3, 0, 4), (3, -1, 0), (-1, 0, 0)):
         with pytest.raises(ValueError):
             pair_drift(n, k, k2)
+
+
+def test_drift_table_lists_every_pair_and_counts_none_positive():
+    rows, positive = drift_table(3)
+    assert [row[:3] for row in rows] == [(n, k, k2) for n in range(4)
+                                         for k in range(n + 1) for k2 in range(n + 1)]
+    assert all(d == pair_drift(n, k, k2) for n, k, k2, d in rows)
+    assert positive == 0
+
+
+def test_drift_table_counts_positive_drifts(monkeypatch):
+    # a drift just above 0 on every pair: each of the 20 pairs k != k2 up
+    # to level 3 breaks the sign check, and the 10 pairs k == k2 do not count
+    monkeypatch.setattr(measure, "pair_drift", lambda n, k, k2: Fraction(1, 10**6))
+    rows, positive = drift_table(3)
+    assert len(rows) == 30
+    assert positive == 20
 
 
 def test_pair_drift_closed_form():

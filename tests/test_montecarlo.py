@@ -477,6 +477,38 @@ def test_meeting_prefix_property():
     assert np.all(long.sigma_per_pair[diverged_short] == short.sigma_per_pair[diverged_short])
 
 
+def _must_not_walk(*args):
+    raise AssertionError("a refused call walked")
+
+
+@pytest.mark.parametrize("min_fraction, min_meetings", [
+    (float("nan"), 5), (1.5, 5), (-0.5, 5),
+    # a threshold of 0 passes every run; 0 meetings every pair has, and no
+    # pair meets n_max = 10 times or more
+    (0, 5), (0.5, 0), (0.5, 10), (0.5, 11),
+], ids=["nan", "above-1", "negative", "zero", "min-meetings-0", "min-meetings-nmax",
+        "min-meetings-above-nmax"])
+def test_vacuous_meeting_verdict_is_refused_before_any_draw(monkeypatch, min_fraction,
+                                                            min_meetings):
+    monkeypatch.setattr(montecarlo, "_walk", _must_not_walk)
+    with pytest.raises(InvalidArgument):
+        meeting_experiment(10, 20, RngConfig(1), min_meetings=min_meetings,
+                           min_fraction=min_fraction)
+
+
+def test_meeting_verdict_reads_the_stored_fraction():
+    cfg = RngConfig(5)
+    free = meeting_experiment(50, 100, cfg)
+    frac = free.fraction_with_min
+    assert free.passed and 0 < frac < 1
+    met = meeting_experiment(50, 100, cfg, min_fraction=frac)
+    missed = meeting_experiment(50, 100, cfg, min_fraction=nextafter(frac, 1))
+    assert met.passed and met.min_fraction == frac
+    assert not missed.passed
+    # the threshold stays off the JSON
+    assert met.to_json() == missed.to_json() == free.to_json()
+
+
 def test_meeting_json_has_aggregates_only():
     stats = meeting_experiment(100, 200, RngConfig(41))
     payload = json.loads(stats.to_json())
