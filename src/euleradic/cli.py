@@ -102,8 +102,8 @@ def _cylinder(text: str) -> FinitePath:
 
 
 def _cmd_eulerian(args) -> int:
-    require_at_least("level", args.n)
-    lines = [",".join(map(int_text, eulerian_row(n))) for n in range(args.n + 1)]
+    top = require_at_least("level", args.n)
+    lines = [",".join(map(int_text, eulerian_row(n))) for n in range(top + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -25,10 +25,14 @@ The policy has two kinds:
 The command line exits 2 on the first and 1 on the second.
 
 A count (a level, a stage, a sample or replica count, a seed, a cap, a
-budget) is an integer, as are a copy, an out-edge index and a rank:
-require_at_least reads every count through require_integer, which takes
-an int or any numbers.Integral (a numpy integer, and bool, so True counts
-as 1), and refuses a float or a Fraction even when whole, and NaN.
+budget) is an integer, as are a column, a copy, an out-edge index, a rank
+and a step count, and one rule reads them: any numbers.Integral is read
+as the Python int it equals.  require_at_least reads every count through
+require_integer, which takes an int or any numbers.Integral (a numpy
+integer, and bool, so True is read as 1) and returns that int, and
+refuses a float or a Fraction even when whole, and NaN.  Every caller
+keeps the int returned, so a numpy integer never reaches the big-integer
+arithmetic, where int64 would wrap or overflow.
 
 A weight, a point of [0, 1) and an epsilon become exact through one rule,
 require_real: a Fraction comes back as is, any other finite real number
@@ -40,6 +44,7 @@ value; an epsilon reads a float's shortest decimal (measure.epsilon_fraction).
 from fractions import Fraction
 from math import inf, isfinite
 from numbers import Integral, Rational, Real
+from operator import index
 
 from .rationals import digit_count, int_text
 
@@ -53,22 +58,25 @@ class InvalidArgument(EulerAdicError, ValueError):
     stage; the command line reports it as a usage error."""
 
 
-def require_at_least(name: str, value: int, least: int = 0) -> None:
-    """Raise InvalidArgument when a count is not an integer or lies below
-    least; a negative count would otherwise run an empty loop and report
-    success, and NaN compares false with every least."""
+def require_at_least(name: str, value, least: int = 0) -> int:
+    """The count value as a Python int (require_integer); InvalidArgument
+    when it lies below least: a negative count would otherwise run an
+    empty loop and report success, and NaN compares false with every least."""
     if type(value) is not int:  # the int test spares the call per count
-        require_integer(name, value)
+        value = require_integer(name, value)
     if value < least:
         raise InvalidArgument(f"{name} {value} must be at least {least}")
+    return value
 
 
-def require_integer(name: str, value) -> None:
-    """Raise InvalidArgument unless value is an integer: an int or a numpy
-    integer (numbers.Integral).  A float or a Fraction is refused even when
-    whole, since its digits would print into a path."""
+def require_integer(name: str, value) -> int:
+    """value as the Python int it equals, when it is an int or a numpy
+    integer (numbers.Integral); InvalidArgument otherwise.  A float or a
+    Fraction is refused even when whole, since its digits would print into
+    a path."""
     if type(value) is not int and not isinstance(value, Integral):
         raise InvalidArgument(f"{name} {value!r} is not an integer")
+    return index(value)
 
 
 def require_threshold(name: str, value: float, most: float = inf) -> None:
@@ -99,7 +107,7 @@ def require_within_cap(subject: str, items: str, count: int, cap: int) -> None:
     """Raise InvalidArgument when cap is negative and TooLarge when count
     exceeds it.  The message gives count as its digit count, so a refused
     count of any size makes one short line."""
-    require_at_least("cap", cap)
+    cap = require_at_least("cap", cap)
     if count > cap:
         raise TooLarge(f"{subject} has a {digit_count(count)}-digit number of "
                        f"{items}, cap is {int_text(cap)}")

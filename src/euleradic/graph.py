@@ -64,7 +64,8 @@ class Turn(Enum):
 
 @dataclass(frozen=True)
 class Vertex:
-    """A graph position (level, column) with 0 <= column <= level."""
+    """A graph position (level, column) with 0 <= column <= level, both
+    stored as Python ints (errors.require_integer)."""
 
     level: int
     column: int
@@ -72,8 +73,8 @@ class Vertex:
     def __post_init__(self):
         # the int test spares the calls per vertex, as in EdgeRef
         if type(self.level) is not int or type(self.column) is not int:
-            require_integer("level", self.level)
-            require_integer("column", self.column)
+            object.__setattr__(self, "level", require_integer("level", self.level))
+            object.__setattr__(self, "column", require_integer("column", self.column))
         if not 0 <= self.column <= self.level:
             raise InvalidArgument(f"column {self.column} outside level {self.level}")
 
@@ -103,7 +104,7 @@ class EdgeRef:
         if not isinstance(self.turn, Turn):
             raise InvalidArgument(f"{self.turn!r} is not a Turn")
         if type(self.copy) is not int:  # the int test spares the call per edge
-            require_integer("copy", self.copy)
+            object.__setattr__(self, "copy", require_integer("copy", self.copy))
         left, right = bundle_sizes(self.source.level, self.source.column)
         size = left if self.turn is Turn.LEFT else right
         if not 0 <= self.copy < size:
@@ -193,7 +194,10 @@ _TRIANGLE = EulerianTriangle()
 
 def eulerian(n: int, k: int) -> int:
     """A(n, k): the number of root-to-(n, k) edge paths, by the root closed
-    form of path_count_between; 0 outside the triangle.  No row is built."""
+    form of path_count_between; 0 for integers outside the triangle.  No
+    row is built."""
+    if type(n) is not int or type(k) is not int:
+        n, k = require_integer("level", n), require_integer("column", k)
     if not 0 <= k <= n:
         return 0
     return path_count_between(Vertex(0, 0), Vertex(n, k))
@@ -207,7 +211,7 @@ def eulerian_lookup(n: int) -> Callable[[int, int], int]:
 def eulerian_row(n: int) -> tuple[int, ...]:
     """The full row A(n, 0..n) from the memo: columns 0..n//2 are read, and
     the mirrored half shares their ints."""
-    require_at_least("triangle row level", n)
+    n = require_at_least("triangle row level", n)
     a = _TRIANGLE.lookup(n)
     half = [a(n, k) for k in range(n // 2 + 1)]
     return (*half, *reversed(half[: (n + 1) // 2]))

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, TooLarge, require_at_least, require_real
+from .errors import InvalidArgument, TooLarge, require_at_least, require_integer, require_real
 from .graph import EdgeRef, Turn, Vertex, bundle_sizes, eulerian_row
 from .paths import (
     FinitePath,
@@ -142,7 +142,7 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     weighed, so the scan is cubic in n_max; weights are compared as
     integers, by numerator and denominator or by cross products.
     """
-    require_at_least("invariance levels", n_max)
+    n_max = require_at_least("invariance levels", n_max)
     weight = ws.weight
     parallel = 0
     diamonds = 0
@@ -207,7 +207,7 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     (paths.fiber_codes), which starts minimal, so the extremal scans only
     count the boundary; each distinct edge is weighed once, as integers.
     """
-    require_at_least("pushforward length", n)
+    n = require_at_least("pushforward length", n)
     if ws is None:
         ws = WeightSystem.symmetric()
     weights: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -250,8 +250,8 @@ def invariance_run(levels: int, depth: int) -> InvarianceRun:
     """check_invariance_conditions of the symmetric system below levels and
     pushforward_check at each length 0..depth.  Levels below 1 would pass
     on no checks at all, so they are an InvalidArgument."""
-    require_at_least("invariance levels", levels, least=1)
-    require_at_least("pushforward depth", depth)
+    levels = require_at_least("invariance levels", levels, least=1)
+    depth = require_at_least("pushforward depth", depth)
     return InvarianceRun(check_invariance_conditions(WeightSystem.symmetric(), levels),
                          tuple(pushforward_check(n) for n in range(depth + 1)))
 
@@ -283,9 +283,9 @@ def _kernel_push(row: np.ndarray, n: int, each: Optional[Callable] = None) -> np
 
 def transition_probs(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(P(stay), P(increment)) for the column chain at (n, k)."""
-    Vertex(n, k)  # the vertex owns the column's domain
-    stay, step = bundle_sizes(n, k)
-    return Fraction(stay, n + 2), Fraction(step, n + 2)
+    v = Vertex(n, k)  # the vertex owns the column's domain and reads both as ints
+    stay, step = bundle_sizes(v.level, v.column)
+    return Fraction(stay, v.level + 2), Fraction(step, v.level + 2)
 
 
 @dataclass(frozen=True)
@@ -302,6 +302,7 @@ class ColumnDistribution:
 
 def column_distribution(n: int) -> ColumnDistribution:
     """Combinatorial route: P(k_n = k) = A(n, k) / (n+1)!."""
+    n = require_at_least("level", n)
     fact = factorial(n + 1)
     row = eulerian_row(n)
     return ColumnDistribution(n, tuple(Fraction(a, fact) for a in row))
@@ -316,7 +317,7 @@ def column_distribution_dp(n: int) -> ColumnDistribution:
     no symmetry used and no triangle memo read, so the two routes
     cross-check each other.
     """
-    require_at_least("level", n)
+    n = require_at_least("level", n)
     num = _kernel_push(np.ones(1, dtype=object), n)
     fact = factorial(n + 1)
     return ColumnDistribution(n, tuple(Fraction(a, fact) for a in num))
@@ -357,7 +358,7 @@ def exact_moments(n_max: int) -> list[MomentRow]:
     squared-increment column comes from the joint law of (k_{n-1}, k_n)
     under the kernel, not from any closed form.
     """
-    require_at_least("levels", n_max)
+    n_max = require_at_least("levels", n_max)
     rows = []
     inc_total = None  # the increment sum for level n, over (n+1)!
     p0, p1, p2 = 1, 0, 0  # row 0 is A(0, 0) = 1
@@ -390,6 +391,8 @@ def pair_drift(n: int, k: int, k2: int) -> Fraction:
     are summed, on integers, and the sum is divided once by (n+2)^2.
     """
     # Vertex(n, k) states this domain, but would double the cost of a call
+    if type(n) is not int or type(k) is not int or type(k2) is not int:
+        n, k, k2 = map(require_integer, ("level", "column", "column"), (n, k, k2))
     if not (0 <= k <= n and 0 <= k2 <= n):
         raise InvalidArgument(f"columns {k}, {k2} outside level {n}")
     stay, step = bundle_sizes(n, k)
@@ -405,7 +408,7 @@ def drift_table(levels: int) -> tuple[list[tuple[int, int, int, Fraction]], int]
     columns k, k2 in 0..n, in that order, and the sign check: the count of
     pairs k != k2 whose drift is positive, which is 0, since the gap of two
     independent chains never grows in expectation."""
-    require_at_least("levels", levels)
+    levels = require_at_least("levels", levels)
     rows = [(n, k, k2, pair_drift(n, k, k2))
             for n in range(levels + 1) for k in range(n + 1) for k2 in range(n + 1)]
     return rows, sum(k != k2 and d > 0 for _, k, k2, d in rows)
@@ -441,7 +444,7 @@ def column_tail(n: int, epsilon) -> Fraction:
     of n+1 with at most x = (n-t)//2 descents: the Irwin-Hall law at x+1, an
     alternating sum of x+1 integer powers.  Only for n <= EXACT_TAIL_BUDGET.
     """
-    require_at_least("level", n)
+    n = require_at_least("level", n)
     if n > EXACT_TAIL_BUDGET:
         raise InvalidArgument(
             f"exact tail limited to n <= {EXACT_TAIL_BUDGET}; "
@@ -467,7 +470,7 @@ def column_tail_bounds(n: int, epsilon) -> tuple[Fraction, Fraction]:
     coefficients below n+2, so up to ENCLOSURE_LEVEL_CAP every int64
     product is below (2**ENCLOSURE_DENOM_BITS + (n+1)^2) (n+2) 2 < 2**63.
     """
-    require_at_least("level", n)
+    n = require_at_least("level", n)
     if n > ENCLOSURE_LEVEL_CAP:
         raise TooLarge(f"level {n} above the enclosure cap {ENCLOSURE_LEVEL_CAP}")
     denom = 1 << ENCLOSURE_DENOM_BITS

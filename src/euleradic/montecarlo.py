@@ -77,8 +77,8 @@ class RngConfig:
     def __post_init__(self):
         # numpy's SeedSequence rejects a negative seed, but only once a
         # generator is drawn
-        require_at_least("seed", self.master_seed)
-        require_at_least("replica count", self.replicas, least=1)
+        object.__setattr__(self, "master_seed", require_at_least("seed", self.master_seed))
+        object.__setattr__(self, "replicas", require_at_least("replica count", self.replicas, 1))
 
     def generator(self, replica: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(replica,))
@@ -164,7 +164,7 @@ def sample_path(n: int, rng: np.random.Generator) -> FinitePath:
     Every edge out of level m has probability 1/(m+2), so the out-edge
     index is uniform; this implies the column kernel P(stay) = (k+1)/(m+2).
     """
-    require_at_least("path length", n)
+    n = require_at_least("path length", n)
     indices = [int(rng.integers(0, m + 2)) for m in range(n)]
     return path_from_out_indices(indices)
 
@@ -201,17 +201,16 @@ def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...
     a tuple of arrays; the i-th arrays of all replicas are concatenated
     along their first axis into the i-th result.  A replica's walk lives
     only inside its run, so one walk is alive at a time, and the merge
-    holds only what the runs return.
+    holds only what the runs return.  Its callers read reps.
     """
-    require_at_least("sample count", reps, least=1)
     parts = [run(cfg.generator(i), m) for i, m in enumerate(cfg.split(reps)) if m]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _column_counts(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
     """How many of reps independent paths end in each column 0..level:
-    a bincount per replica, summed in replica order."""
-    require_at_least("level", level)
+    a bincount per replica, summed in replica order; its callers read
+    level and reps."""
 
     def run(rng, m):
         *_, c = _walk(level, m, rng)
@@ -225,6 +224,8 @@ def _column_counts(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
 
 def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Empirical column frequencies at one level against the exact law."""
+    level = require_at_least("level", level)
+    reps = require_at_least("sample count", reps, least=1)
     counts = _column_counts(level, reps, cfg)
     dist = column_distribution(level)
     emp = counts / reps
@@ -251,8 +252,8 @@ def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     sample variance divides by reps - 1, so reps below 2 is an
     InvalidArgument: one sample would report a variance and standard
     errors of 0."""
-    require_at_least("level", level)
-    require_at_least("sample count", reps, least=2)
+    level = require_at_least("level", level)
+    reps = require_at_least("sample count", reps, least=2)
 
     def run(rng, m):
         *_, c = _walk(level, m, rng)
@@ -298,12 +299,12 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     enclosure width.
     """
     eps = epsilon_fraction(epsilon)
-    require_at_least("level", level, least=1)
+    level = require_at_least("level", level, least=1)
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")
     if eps > 1:
         raise InvalidArgument(f"epsilon {eps} must be at most 1")
-    require_at_least("sample count", reps, least=1)
+    reps = require_at_least("sample count", reps, least=1)
     lo, hi, exact_kind = tail_reference(level, eps)
     counts = _column_counts(level, reps, cfg)
     emp = int(counts[tail_columns(level, eps)].sum()) / reps
@@ -349,12 +350,13 @@ def meeting_experiment(
     """
     if min_fraction is not None:
         require_threshold("min fraction", min_fraction, 1)
-    require_at_least("n_max", n_max)
+    n_max = require_at_least("n_max", n_max)
     if min_fraction is not None and (min_fraction == 0 or not 0 < min_meetings < n_max):
         raise InvalidArgument(f"min fraction {min_fraction} with min meetings "
                               f"{min_meetings} decides every run: a pair meets "
                               f"0 to {max(n_max - 1, 0)} times")
-    require_at_least("min_meetings", min_meetings)
+    min_meetings = require_at_least("min_meetings", min_meetings)
+    reps = require_at_least("sample count", reps, least=1)
 
     def run(rng, m):
         eq = np.empty(m, dtype=bool)
@@ -420,7 +422,8 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     their gap (for gap > 0), so the exact reference of gap group d is
     pair_drift at columns (d, 0).
     """
-    require_at_least("level", level)
+    level = require_at_least("level", level)
+    reps = require_at_least("sample count", reps, least=1)
     # the least integer type holding level holds every gap; a gap changes
     # by -1, 0 or 1 in a step
     gap_type = np.min_scalar_type(level)
@@ -496,13 +499,12 @@ def birkhoff_experiment(
         raise InvalidArgument(f"unknown mode {mode!r}")
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
-    require_at_least("level", big_level)
+    big_level = require_at_least("level", big_level)
     ref = Fraction(1, factorial(len(cylinder) + 1))
-    col = big_level // 2 if column is None else column
-    target = Vertex(big_level, col)
+    target = Vertex(big_level, big_level // 2 if column is None else column)
     if not 0 < len(cylinder) <= big_level:  # the empty one has frequency 1 in every run
         raise InvalidArgument(f"cylinder length {len(cylinder)} outside 1..{big_level}")
-    require_at_least("budget", budget)
+    budget = require_at_least("budget", budget)
     if tolerance is not None:
         require_threshold("tolerance", tolerance)
     relative = mode == "exact_stack"
@@ -512,10 +514,10 @@ def birkhoff_experiment(
     if tol >= widest:
         raise InvalidArgument(f"tolerance {tol} must be below {widest}, "
                               f"the widest {deviation} from {ref}")
-    params = {"cylinder": cylinder.to_text(), "level": big_level, "column": col,
+    params = {"cylinder": cylinder.to_text(), "level": big_level, "column": target.column,
               "mode": mode}
     if relative:
-        fiber = eulerian(big_level, col)
+        fiber = eulerian(big_level, target.column)
         through = path_count_between(cylinder.terminal, target)
         freq = Fraction(through, fiber)
         rel = abs(freq - ref) / ref

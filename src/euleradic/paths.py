@@ -43,8 +43,8 @@ from enum import Enum
 from operator import sub
 from typing import Iterator
 
-from .errors import (InvalidArgument, MaximalPath, MinimalPath, OrbitOverflow, require_integer,
-                     require_within_cap)
+from .errors import (InvalidArgument, MaximalPath, MinimalPath, OrbitOverflow, require_at_least,
+                     require_integer, require_within_cap)
 from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_lookup
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -169,8 +169,13 @@ def _step_digit(v: Vertex, turn: Turn, copy: int) -> int:
 def step_for_out_index(k: int, j: int) -> tuple[Turn, int]:
     """The (turn, copy) step with out-edge index j at a column-k vertex.
 
-    Out-edges are indexed left copies 0..k first, then right copies.
+    Out-edges are indexed left copies 0..k first, then right copies.  k and
+    j are read as integers and a negative one is an InvalidArgument; the
+    upper bound j < n + 2 needs the level n, which the caller's vertex owns.
     """
+    # the int test spares the calls per step of FinitePath.steps
+    if type(k) is not int or type(j) is not int or k < 0 or j < 0:
+        k, j = require_at_least("column", k), require_at_least("out-edge index", j)
     if j <= k:
         return (Turn.LEFT, j)
     return (Turn.RIGHT, j - k - 1)
@@ -178,12 +183,13 @@ def step_for_out_index(k: int, j: int) -> tuple[Turn, int]:
 
 def path_from_out_indices(indices) -> FinitePath:
     """Build a path from its per-level out-edge indices j_m in [0, m+2)."""
-    digits = tuple(indices)
-    for m, j in enumerate(digits):
-        require_integer(f"level {m}: out-edge index", j)
+    digits = []
+    for m, j in enumerate(indices):
+        j = require_integer(f"level {m}: out-edge index", j)
         if not 0 <= j < m + 2:
             raise InvalidArgument(f"level {m}: out-edge index {j} outside [0, {m + 2})")
-    return FinitePath._trusted(digits)
+        digits.append(j)
+    return FinitePath._trusted(tuple(digits))
 
 
 def code_columns(digits) -> tuple[int, ...]:
@@ -372,7 +378,7 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
     """The unique path into v with the given orbit rank (inverse of orbit_rank);
     a rank that is not an integer is an InvalidArgument, one outside the
     fiber an OrbitOverflow."""
-    require_integer("rank", rank)
+    rank = require_integer("rank", rank)
     a = eulerian_lookup(v.level)
     total = a(v.level, v.column)
     if not 0 <= rank < total:
@@ -402,4 +408,4 @@ def iterate(p: FinitePath, steps: int) -> FinitePath:
     Raises OrbitOverflow (from path_with_rank) when the target rank leaves
     [0, A(n,k)-1]; the orbit of a fiber is a finite segment, not a cycle.
     """
-    return path_with_rank(p.terminal, orbit_rank(p) + steps)
+    return path_with_rank(p.terminal, orbit_rank(p) + require_integer("steps", steps))

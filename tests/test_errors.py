@@ -32,12 +32,14 @@ from euleradic import (
     birkhoff_experiment,
     build_stage,
     chebyshev_experiment,
+    column_distribution,
     column_distribution_dp,
     column_tail,
     column_tail_bounds,
     drift_table,
     encode_point,
     enumerate_paths_to,
+    eulerian,
     eulerian_row,
     exact_moments,
     invariance_run,
@@ -46,11 +48,13 @@ from euleradic import (
     meeting_experiment,
     min_path_to,
     pair_drift,
+    path_count_between,
     path_from_out_indices,
     path_with_rank,
     predecessor,
     sample_experiment,
     stage_map,
+    step_for_out_index,
     successor,
     transition_probs,
     variance_experiment,
@@ -145,6 +149,15 @@ CONTRACT = {
     "stack layout stage not an integer": lambda: StackLayout(2.5),
     "stack layout stage NaN": lambda: StackLayout(nan),
     "encode_point stage a whole float": lambda: encode_point(0.3, 2.0),
+    # an integer argument is read before any answer: NaN compares false
+    # with every bound, so the 0 off the triangle would answer it
+    "eulerian level NaN": lambda: eulerian(nan, 1),
+    "eulerian column NaN": lambda: eulerian(3, nan),
+    "pair_drift level a whole float": lambda: pair_drift(2.0, 0, 1),
+    "column_distribution level a whole float": lambda: column_distribution(2.0),
+    "column_distribution level below 0": lambda: column_distribution(-1),
+    "step_for_out_index column below 0": lambda: step_for_out_index(-1, 0),
+    "step_for_out_index out-edge index below 0": lambda: step_for_out_index(0, -3),
     # the verdicts of the invariance, drift and meeting commands
     "invariance levels below 1": lambda: invariance_run(0, 6),
     "pushforward depth below 0": lambda: invariance_run(3, -1),
@@ -170,6 +183,32 @@ def test_numpy_integers_are_integers():
     assert FinitePath(((Turn.RIGHT, np.int64(0)),)) == FinitePath.from_text("R0")
     assert path_from_out_indices(np.array([1, 2])) == FinitePath.from_text("R0.R0")
     assert path_with_rank(Vertex(2, 1), np.int32(0)) == min_path_to(Vertex(2, 1))
+
+
+# each call made with numpy integers, against the same call made with Python
+# ints, at sizes where an int64 would wrap or overflow: A(30, 15) has 34
+# digits, and (n+2)^2 passes 2^63 at n = 4 * 10^9
+NUMPY_VALUES = {
+    "column_tail": lambda i: column_tail(i(20), Fraction(1, 10)),
+    "eulerian": lambda i: eulerian(i(30), i(15)),
+    "path_count_between": lambda i: path_count_between(Vertex(0, 0), Vertex(i(30), i(15))),
+    "eulerian_row": lambda i: eulerian_row(i(31)),
+    "column_distribution": lambda i: column_distribution(i(31)),
+    "path_with_rank": lambda i: path_with_rank(Vertex(i(30), i(15)), 10**20),
+    "iterate": lambda i: iterate(min_path_to(Vertex(30, 15)), i(5)),
+    "pair_drift": lambda i: pair_drift(i(4 * 10**9), i(0), i(1)),
+}
+
+
+@pytest.mark.parametrize("call", NUMPY_VALUES.values(), ids=NUMPY_VALUES.keys())
+def test_numpy_integers_are_read_as_python_ints(call):
+    assert repr(call(np.int64)) == repr(call(int))
+
+
+def test_a_vertex_stores_python_ints():
+    v = Vertex(np.int64(3), np.int64(1))
+    assert type(v.level) is int and type(v.column) is int
+    assert repr(Vertex(True, 0)) == "(1,0)"
 
 
 def test_named_kinds_are_invalid_arguments_caught_by_name():

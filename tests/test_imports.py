@@ -217,3 +217,22 @@ def test_the_command_line_owns_no_argument_domain():
     called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
               for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)}
     assert "require_threshold" not in called
+
+
+INTEGER_READERS = {"require_integer", "require_at_least", "_check_stage"}
+
+
+def test_no_integer_reader_drops_its_value():
+    # a reader returns the Python int it read: a call that drops it leaves
+    # the caller's numpy integer to wrap in the big-integer arithmetic
+    dropped = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in INTEGER_READERS:
+                    dropped.append(f"{path.name}:{node.lineno}")
+    assert dropped == []
+    # and the rule itself, numbers.Integral, is read in errors alone
+    assert _readers({"Integral"}) == {"errors"}

@@ -294,6 +294,24 @@ def test_report_json_deterministic():
     assert "series" not in payload
 
 
+# each seeded report built from numpy integer arguments, against the same
+# report built from Python ints; A(31, k) and the level-200 tail pass int64
+NUMPY_REPORTS = {
+    "sample": lambda i: sample_experiment(i(31), i(1000), RngConfig(i(1), i(2))),
+    "variance": lambda i: variance_experiment(i(10), i(100), RngConfig(i(7))),
+    "chebyshev": lambda i: chebyshev_experiment(i(200), Fraction(1, 5), i(1000), RngConfig(i(1))),
+    "meeting": lambda i: meeting_experiment(i(20), i(100), RngConfig(i(1)), min_meetings=i(5)),
+    "pair_drift": lambda i: pair_drift_experiment(i(12), i(500), RngConfig(i(3), i(2))),
+    "birkhoff orbit_mc": lambda i: birkhoff_experiment(
+        FinitePath.from_text("L0"), i(12), "orbit_mc", RngConfig(i(5)), budget=i(300)),
+}
+
+
+@pytest.mark.parametrize("call", NUMPY_REPORTS.values(), ids=NUMPY_REPORTS.keys())
+def test_numpy_integer_arguments_write_the_same_report(call):
+    assert call(np.int64).to_json() == call(int).to_json()
+
+
 def test_chebyshev_exact_branch():
     report = chebyshev_experiment(100, Fraction(1, 2), 20_000, RngConfig(23))
     assert report.passed
