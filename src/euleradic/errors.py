@@ -1,8 +1,9 @@
 """Exception types shared across the package, the check that turns a
 count that is not an integer or lies below its least value into an
 InvalidArgument, the check that an index is an integer, the check that
-refuses a count above its cap with a TooLarge, the check of a pass/fail
-threshold, and the one reader of a number from outside (require_real).
+refuses a count above its cap with a TooLarge, the range check of a
+pass/fail threshold, and the one reader of a number from outside
+(require_real).
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
@@ -13,10 +14,10 @@ The policy has two kinds:
   bundle, a count, level, column, stage, copy, out-edge index or rank
   that is not an integer, path text that is not canonical, a level index
   outside a path, paths of different lengths, a weight that is not a
-  positive finite real number, a point or epsilon that is not a finite
-  real number, a column law that does not sum to 1, a negative count or
-  stage, a threshold out of range.  The type that owns a domain raises
-  it.
+  positive finite real number, a point, epsilon or threshold that is not
+  a finite real number, a column law that does not sum to 1, a negative
+  count or stage, a threshold out of range.  The type that owns a domain
+  raises it.
   MaximalPath, MinimalPath and OrbitOverflow are its named kinds for the
   paths the adic map is undefined on and a rank outside its fiber.
 - TooLarge for a size refused by a cap: the argument is in the domain,
@@ -39,6 +40,8 @@ require_real: a Fraction comes back as is, any other finite real number
 is read exactly, and text, None, a complex number, NaN or an infinity
 is an InvalidArgument.  A weight or a point reads a float's exact binary
 value; an epsilon reads a float's shortest decimal (measure.epsilon_fraction).
+A pass/fail threshold is a finite real number by the same rule, and
+require_threshold then checks its range; its caller keeps the value given.
 """
 
 from fractions import Fraction
@@ -79,11 +82,12 @@ def require_integer(name: str, value) -> int:
     return index(value)
 
 
-def require_threshold(name: str, value: float, most: float = inf) -> None:
-    """Raise InvalidArgument unless a pass/fail threshold is a finite number
-    in [0, most].  Every comparison with NaN is false, so a gate on it
-    passes or fails whatever the run gives, and so does one out of range."""
-    if not (isfinite(value) and 0 <= value <= most):
+def require_threshold(name: str, value, most: float = inf) -> None:
+    """Raise InvalidArgument unless a pass/fail threshold is a finite real
+    number (require_real) in [0, most]; the caller keeps its own value.
+    Every comparison with NaN is false, so a gate on it passes or fails
+    whatever the run gives, and so does one out of range."""
+    if not 0 <= require_real(name, value) <= most:
         span = f"in [0, {most}]" if isfinite(most) else "at least 0"
         raise InvalidArgument(f"{name} {value} must be a finite number {span}")
 

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, require_at_least, require_threshold
+from .errors import InvalidArgument, require_at_least, require_integer, require_threshold
 from .graph import Vertex, eulerian, path_count_between
 from .measure import (
     column_distribution,
@@ -81,11 +81,12 @@ class RngConfig:
         object.__setattr__(self, "replicas", require_at_least("replica count", self.replicas, 1))
 
     def generator(self, replica: int) -> np.random.Generator:
+        replica = require_at_least("replica", replica)
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(replica,))
         return np.random.Generator(np.random.PCG64(seq))
 
     def split(self, total: int) -> list[int]:
-        base, rem = divmod(total, self.replicas)
+        base, rem = divmod(require_at_least("total", total), self.replicas)
         return [base + (1 if i < rem else 0) for i in range(self.replicas)]
 
     def describe(self) -> dict:
@@ -351,6 +352,7 @@ def meeting_experiment(
     if min_fraction is not None:
         require_threshold("min fraction", min_fraction, 1)
     n_max = require_at_least("n_max", n_max)
+    min_meetings = require_integer("min_meetings", min_meetings)
     if min_fraction is not None and (min_fraction == 0 or not 0 < min_meetings < n_max):
         raise InvalidArgument(f"min fraction {min_fraction} with min meetings "
                               f"{min_meetings} decides every run: a pair meets "

@@ -112,26 +112,30 @@ class FinitePath:
     def __hash__(self):
         return hash(self._digits)
 
+    def _index(self, name: str, i, end: int) -> int:
+        """The level or edge index i as a Python int (errors.require_integer),
+        refused outside [0, end)."""
+        if type(i) is not int:  # the int test spares the call per prefix of a stage sweep
+            i = require_integer(name, i)
+        if not 0 <= i < end:
+            raise InvalidArgument(f"{name} {i} outside path of length {len(self)}")
+        return i
+
     def column_at(self, m: int) -> int:
         """Column of the vertex this path passes through at level m."""
-        if not 0 <= m <= len(self._digits):
-            raise InvalidArgument(f"level {m} outside path of length {len(self)}")
-        return self._columns()[m]
+        return self._columns()[self._index("level", m, len(self._digits) + 1)]
 
     @property
     def terminal(self) -> Vertex:
         return Vertex(len(self._digits), self._columns()[-1])
 
     def edge_at(self, i: int) -> EdgeRef:
-        if not 0 <= i < len(self._digits):
-            raise InvalidArgument(f"edge {i} outside path of length {len(self)}")
+        i = self._index("edge", i, len(self._digits))
         k = self._columns()[i]
         return EdgeRef(Vertex(i, k), *step_for_out_index(k, self._digits[i]))
 
     def prefix(self, m: int) -> "FinitePath":
-        if not 0 <= m <= len(self._digits):
-            raise InvalidArgument(f"level {m} outside path of length {len(self)}")
-        return FinitePath._trusted(self._digits[:m])
+        return FinitePath._trusted(self._digits[:self._index("level", m, len(self._digits) + 1)])
 
     def extended(self, turn: Turn, copy: int) -> "FinitePath":
         """This path and one more step; only the new step is checked."""

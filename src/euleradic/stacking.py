@@ -24,17 +24,8 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import InvalidArgument, require_integer, require_real, require_within_cap
+from .errors import InvalidArgument, require_at_least, require_real, require_within_cap
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, successor_code
-
-
-def _check_stage(n) -> int:
-    """The stage n as a Python int (errors.require_integer), refused when negative."""
-    if type(n) is not int:  # the int test spares the call per point
-        n = require_integer("stage", n)
-    if n < 0:
-        raise InvalidArgument(f"stage {n} is negative")
-    return n
 
 
 def code_index(digits) -> int:
@@ -48,7 +39,7 @@ def code_index(digits) -> int:
 
 def code_at(u: Fraction, n: int) -> tuple[int, tuple]:
     """(interval index, digits) of the stage-n interval holding u."""
-    n = _check_stage(n)
+    n = require_at_least("stage", n)
     num, den = u.numerator, u.denominator
     if not 0 <= num < den:
         raise InvalidArgument(f"point {u} outside [0,1)")
@@ -85,7 +76,7 @@ class StackLayout:
     stage: int
 
     def __post_init__(self):
-        object.__setattr__(self, "stage", _check_stage(self.stage))
+        object.__setattr__(self, "stage", require_at_least("stage", self.stage))
 
     @property
     def interval_width(self) -> Fraction:

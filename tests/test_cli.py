@@ -509,4 +509,4 @@ def test_negative_stage_is_a_usage_error(capsys):
     code, out, err = _run(capsys, "stack", "--stage", "-1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "negative" in err
+    assert err == "error: stage -1 must be at least 0\n"

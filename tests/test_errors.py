@@ -167,6 +167,23 @@ CONTRACT = {
     "meeting min fraction 0": lambda: meeting_experiment(5, 10, CFG, min_fraction=0),
     "meeting min meetings no pair reaches":
         lambda: meeting_experiment(5, 10, CFG, min_meetings=5, min_fraction=0.5),
+    # a level or edge index of a path is an integer
+    "prefix level a whole float": lambda: PATH.prefix(1.0),
+    "column_at level not an integer": lambda: PATH.column_at(1.5),
+    "edge_at index a whole float": lambda: PATH.edge_at(1.0),
+    # a threshold is a finite real number, read by errors.require_real
+    "meeting min fraction as text": lambda: meeting_experiment(20, 10, CFG, min_fraction="0.5"),
+    "meeting min fraction complex": lambda: meeting_experiment(20, 10, CFG, min_fraction=0.5 + 0j),
+    "birkhoff tolerance as text": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 10,
+                                                              tolerance="0.1"),
+    # min_meetings is read before the threshold rule compares it
+    "meeting min_meetings as text with a threshold":
+        lambda: meeting_experiment(20, 10, CFG, min_meetings="5", min_fraction=0.5),
+    "meeting min_meetings None with a threshold":
+        lambda: meeting_experiment(20, 10, CFG, min_meetings=None, min_fraction=0.5),
+    "generator replica below 0": lambda: CFG.generator(-1),
+    "generator replica not an integer": lambda: CFG.generator(1.5),
+    "split total not an integer": lambda: CFG.split(2.5),
 }
 
 
@@ -185,9 +202,35 @@ def test_numpy_integers_are_integers():
     assert path_with_rank(Vertex(2, 1), np.int32(0)) == min_path_to(Vertex(2, 1))
 
 
+# a slice of the generated library contract: each argument slot takes every
+# kind of value, and answers or raises a package error, never a bare one
+SWEEP_VALUES = (2.0, 2.5, True, np.int64(2), Fraction(2), "2", None, nan, -1, 10**30)
+SWEEP_SLOTS = {
+    "prefix": PATH.prefix,
+    "column_at": PATH.column_at,
+    "edge_at": PATH.edge_at,
+    "min_fraction": lambda x: meeting_experiment(10, 20, CFG, min_fraction=x),
+    "tolerance": lambda x: birkhoff_experiment(FinitePath.from_text("L0"), 4, tolerance=x),
+    "min_meetings": lambda x: meeting_experiment(10, 20, CFG, min_meetings=x, min_fraction=0.5),
+    "generator": CFG.generator,
+    "split": CFG.split,
+    "StackLayout": StackLayout,
+}
+
+
+@pytest.mark.parametrize("call", SWEEP_SLOTS.values(), ids=SWEEP_SLOTS.keys())
+def test_every_value_kind_answers_or_raises_a_package_error(call):
+    for value in SWEEP_VALUES:
+        try:
+            call(value)
+        except EulerAdicError:
+            pass
+
+
 # each call made with numpy integers, against the same call made with Python
 # ints, at sizes where an int64 would wrap or overflow: A(30, 15) has 34
-# digits, and (n+2)^2 passes 2^63 at n = 4 * 10^9
+# digits, and (n+2)^2 passes 2^63 at n = 4 * 10^9; and a path's level and
+# edge index, which its one index reader reads
 NUMPY_VALUES = {
     "column_tail": lambda i: column_tail(i(20), Fraction(1, 10)),
     "eulerian": lambda i: eulerian(i(30), i(15)),
@@ -197,6 +240,8 @@ NUMPY_VALUES = {
     "path_with_rank": lambda i: path_with_rank(Vertex(i(30), i(15)), 10**20),
     "iterate": lambda i: iterate(min_path_to(Vertex(30, 15)), i(5)),
     "pair_drift": lambda i: pair_drift(i(4 * 10**9), i(0), i(1)),
+    "prefix": lambda i: PATH.prefix(i(2)),
+    "edge_at": lambda i: PATH.edge_at(i(1)),
 }
 
 

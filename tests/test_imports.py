@@ -219,7 +219,7 @@ def test_the_command_line_owns_no_argument_domain():
     assert "require_threshold" not in called
 
 
-INTEGER_READERS = {"require_integer", "require_at_least", "_check_stage"}
+INTEGER_READERS = {"require_integer", "require_at_least"}
 
 
 def test_no_integer_reader_drops_its_value():
