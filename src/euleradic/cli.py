@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import EulerAdicError, InvalidArgument, require_at_least
+from .errors import EulerAdicError, InvalidArgument
 from .graph import Vertex, eulerian_row
 from .measure import drift_table, exact_moments, invariance_run
 from .montecarlo import (
@@ -102,8 +102,8 @@ def _cylinder(text: str) -> FinitePath:
 
 
 def _cmd_eulerian(args) -> int:
-    top = require_at_least("level", args.n)
-    lines = [",".join(map(int_text, eulerian_row(n))) for n in range(top + 1)]
+    eulerian_row(args.n)  # refuses a negative level before any row is formatted
+    lines = [",".join(map(int_text, eulerian_row(n))) for n in range(args.n + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

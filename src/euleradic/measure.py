@@ -27,6 +27,8 @@ Eulerian route, and the certified tail enclosure beyond the exact tail's
 budget, whose int64 rows round down and up to rational bounds.  tail_reference
 chooses between the exact tail and the enclosure, and tail_columns is the
 one statement of the tail set, which the enclosure and chebyshev read.
+Every exact reference of a seeded report is read from here: the column
+law, surplus_variance, the tail, pair_drift and cylinder_measure.
 
 Two verdicts are made here: invariance_run holds the local conditions and
 the pushforward checks of the symmetric system, passed when each stored ok
@@ -379,6 +381,13 @@ def exact_moments(n_max: int) -> list[MomentRow]:
         p0, p1, p2 = ((n + 2) * p0, (n + 1) * (p1 + p0),
                       n * p2 + (2 * n + 1) * p1 + (n + 1) * p0)
     return rows
+
+
+def surplus_variance(n: int) -> Fraction:
+    """Var(2 k_n - n) = (n+2)/3 from level 1 on, and 0 at level 0, where the
+    surplus is 0; exact_moments reaches the same values by its power sums."""
+    n = require_at_least("level", n)
+    return Fraction(n + 2, 3) if n else Fraction(0)
 
 
 def pair_drift(n: int, k: int, k2: int) -> Fraction:

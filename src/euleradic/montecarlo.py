@@ -26,6 +26,12 @@ gaps and gap increments), concatenated in replica order.  So a seeded
 experiment holds one replica's walk, 16 bytes per path, plus those
 sample-long arrays.
 
+Every exact reference comes from measure: the column law, the surplus
+variance, the tail, the pair drift and the cylinder measure.  A walk
+level, an n_max, a sample count or an orbit budget above sys.maxsize, the
+largest size numpy and itertools index, is refused with a TooLarge right
+after it is read, before any reference, allocation or draw.
+
 Every report carries its verdict as passed, read from the numbers it
 stores: StatReport stores it, and MeetingStats reads its fraction against
 the min_fraction threshold of meeting_experiment, which refuses a
@@ -35,21 +41,26 @@ threshold that decides every run before any walk.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import islice
-from math import factorial, sqrt
+from math import sqrt
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, require_at_least, require_integer, require_threshold
+from .errors import (InvalidArgument, require_at_least, require_integer, require_threshold,
+                     require_within_cap)
 from .graph import Vertex, eulerian, path_count_between
 from .measure import (
+    WeightSystem,
     column_distribution,
+    cylinder_measure,
     epsilon_fraction,
     pair_drift,
+    surplus_variance,
     tail_columns,
     tail_reference,
 )
@@ -208,6 +219,14 @@ def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def _check_sizes(level: int, reps: int) -> None:
+    """TooLarge for a walk level or a sample count above sys.maxsize, the
+    largest size numpy and itertools index; an experiment calls it right
+    after reading both, before any reference, allocation or draw."""
+    require_within_cap("the walk", "levels", level, sys.maxsize)
+    require_within_cap("the experiment", "samples", reps, sys.maxsize)
+
+
 def _column_counts(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
     """How many of reps independent paths end in each column 0..level:
     a bincount per replica, summed in replica order; its callers read
@@ -227,6 +246,7 @@ def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Empirical column frequencies at one level against the exact law."""
     level = require_at_least("level", level)
     reps = require_at_least("sample count", reps, least=1)
+    _check_sizes(level, reps)
     counts = _column_counts(level, reps, cfg)
     dist = column_distribution(level)
     emp = counts / reps
@@ -255,6 +275,7 @@ def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     errors of 0."""
     level = require_at_least("level", level)
     reps = require_at_least("sample count", reps, least=2)
+    _check_sizes(level, reps)
 
     def run(rng, m):
         *_, c = _walk(level, m, rng)
@@ -274,7 +295,7 @@ def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     m4 = float(np.power(u, 4, out=scratch).mean())
     se_mean = sqrt(var / reps)
     se_var = sqrt(max(m4 - m2 * m2, 0.0) / reps)
-    exact_var = Fraction(level + 2, 3) if level >= 1 else Fraction(0)
+    exact_var = surplus_variance(level)
     ok = abs(mean) <= 5 * se_mean and abs(var - float(exact_var)) <= 5 * se_var
     return StatReport(
         experiment="variance",
@@ -294,10 +315,10 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     The exact reference is measure.tail_reference: the exact Irwin-Hall
     tail up to its budget, else the certified enclosure.  It is computed
     before any draw, so a level above the enclosure cap draws nothing.
-    The bound is (n+2)/(3 n^2 eps^2).  Pass requires the exact tail (or
-    its upper bound) to sit below the bound and the empirical tail to
-    agree with the exact value within 5 standard errors plus the
-    enclosure width.
+    The bound is measure.surplus_variance(n) / (n^2 eps^2).  Pass
+    requires the exact tail (or its upper bound) to sit below the bound
+    and the empirical tail to agree with the exact value within 5
+    standard errors plus the enclosure width.
     """
     eps = epsilon_fraction(epsilon)
     level = require_at_least("level", level, least=1)
@@ -306,10 +327,11 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     if eps > 1:
         raise InvalidArgument(f"epsilon {eps} must be at most 1")
     reps = require_at_least("sample count", reps, least=1)
+    require_within_cap("the experiment", "samples", reps, sys.maxsize)
     lo, hi, exact_kind = tail_reference(level, eps)
     counts = _column_counts(level, reps, cfg)
     emp = int(counts[tail_columns(level, eps)].sum()) / reps
-    bound = Fraction(level + 2, 3 * level * level) / (eps * eps)
+    bound = surplus_variance(level) / (level * level * eps * eps)
     below = hi < bound
     ref = float(hi)
     se = sqrt(max(ref * (1 - ref), emp * (1 - emp)) / reps)
@@ -359,6 +381,7 @@ def meeting_experiment(
                               f"0 to {max(n_max - 1, 0)} times")
     min_meetings = require_at_least("min_meetings", min_meetings)
     reps = require_at_least("sample count", reps, least=1)
+    _check_sizes(n_max, reps)
 
     def run(rng, m):
         eq = np.empty(m, dtype=bool)
@@ -426,6 +449,7 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """
     level = require_at_least("level", level)
     reps = require_at_least("sample count", reps, least=1)
+    _check_sizes(level, reps)
     # the least integer type holding level holds every gap; a gap changes
     # by -1, 0 or 1 in a step
     gap_type = np.min_scalar_type(level)
@@ -480,11 +504,14 @@ def birkhoff_experiment(
 ) -> StatReport:
     """Visit frequency of a cylinder: exact stack ratios or an orbit walk.
 
+    The reference is the cylinder's symmetric measure,
+    measure.cylinder_measure, which is 1/(len+1)!.
+
     exact_stack: the frequency of the cylinder among the A(N, k) paths
     into (N, k) is path_count_between(terminal, (N, k)) / A(N, k), an
     exact big-integer ratio converging to the cylinder's measure; the
-    report compares it to 1/(len+1)! in relative terms.  Both counts are
-    closed forms (A(N, k) is graph.eulerian), so no triangle is built.
+    report compares it to the reference in relative terms.  Both counts
+    are closed forms (A(N, k) is graph.eulerian), so no triangle is built.
 
     orbit_mc: samples one length-N path from cfg's replica 0 and walks its
     successor orbit with paths.orbit_codes for a step budget, counting
@@ -502,11 +529,12 @@ def birkhoff_experiment(
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
     big_level = require_at_least("level", big_level)
-    ref = Fraction(1, factorial(len(cylinder) + 1))
     target = Vertex(big_level, big_level // 2 if column is None else column)
     if not 0 < len(cylinder) <= big_level:  # the empty one has frequency 1 in every run
         raise InvalidArgument(f"cylinder length {len(cylinder)} outside 1..{big_level}")
     budget = require_at_least("budget", budget)
+    require_within_cap("the orbit walk", "steps", budget, sys.maxsize)
+    ref = cylinder_measure(WeightSystem.symmetric(), cylinder)
     if tolerance is not None:
         require_threshold("tolerance", tolerance)
     relative = mode == "exact_stack"

@@ -66,6 +66,31 @@ def test_refusal_past_int_str_limit_is_one_short_line(capsys, argv, line):
     assert (code, out, err) == (1, "", line)
 
 
+BIG = "1" + "0" * 30
+WALK_LINE = "error: the walk has a 31-digit number of levels, cap is 9223372036854775807\n"
+SAMPLES_LINE = ("error: the experiment has a 31-digit number of samples, "
+                "cap is 9223372036854775807\n")
+
+
+SIZE_REFUSALS = {
+    f"meeting --nmax {BIG} --reps 10 --seed 1": WALK_LINE,
+    f"meeting --nmax 5 --reps {BIG} --seed 1": SAMPLES_LINE,
+    f"variance --level 4 --reps {BIG} --seed 1": SAMPLES_LINE,
+    f"variance --level {BIG} --reps 10 --seed 1": WALK_LINE,
+    f"sample --level {BIG} --reps 10 --seed 1": WALK_LINE,
+    f"chebyshev --level 10 --eps 1/10 --reps {BIG} --seed 1": SAMPLES_LINE,
+    f"birkhoff --cylinder L0 --level 4 --mode orbit_mc --budget {BIG}":
+        "error: the orbit walk has a 31-digit number of steps, cap is 9223372036854775807\n",
+}
+
+
+@pytest.mark.parametrize("argv, line", SIZE_REFUSALS.items(), ids=SIZE_REFUSALS.keys())
+def test_a_seeded_count_above_sys_maxsize_is_one_error_line(capsys, argv, line):
+    # numpy and itertools index no size above sys.maxsize: refused, exit 1
+    code, out, err = _run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", line)
+
+
 def test_exact_output_past_int_str_limit_prints_in_full(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, err = _run(capsys, "birkhoff", "--cylinder", "L0.R0", "--level", "2000",
@@ -503,6 +528,11 @@ def test_negative_birkhoff_level_is_named(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: level -5 must be at least 0\n"
+
+
+def test_negative_eulerian_level_is_named_by_the_library(capsys):
+    code, out, err = _run(capsys, "eulerian", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: triangle row level -1 must be at least 0\n")
 
 
 def test_negative_stage_is_a_usage_error(capsys):

@@ -4,7 +4,8 @@ Every argument outside the domain of its call raises InvalidArgument (a
 ValueError), raised by the type or function that owns the domain: the
 vertex owns the column, the edge its turn and copy, the path its levels,
 the weight system its weights.  MaximalPath, MinimalPath and OrbitOverflow
-are named kinds of it; TooLarge, a size refused by a cap, is not.
+are named kinds of it; TooLarge, a size refused by a cap, is not: a
+seeded count above sys.maxsize is one (TOO_LARGE).
 """
 
 from fractions import Fraction
@@ -48,6 +49,7 @@ from euleradic import (
     meeting_experiment,
     min_path_to,
     pair_drift,
+    pair_drift_experiment,
     path_count_between,
     path_from_out_indices,
     path_with_rank,
@@ -60,6 +62,8 @@ from euleradic import (
     variance_experiment,
     vershik_compare,
 )
+from euleradic import montecarlo
+from euleradic.measure import surplus_variance
 
 ROOT_EDGE = EdgeRef(Vertex(0, 0), Turn.LEFT, 0)
 PATH = FinitePath.from_text("R0.L1.R1")  # into (3, 2)
@@ -113,6 +117,7 @@ CONTRACT = {
     "birkhoff column": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 5, column=6),
     "level below 0": lambda: column_distribution_dp(-1),
     "moment levels below 0": lambda: exact_moments(-1),
+    "surplus variance level below 0": lambda: surplus_variance(-1),
     "triangle row below 0": lambda: eulerian_row(-1),
     "exact tail level": lambda: column_tail(601, Fraction(1, 10)),
     "stage below 0": lambda: build_stage(-1),
@@ -195,6 +200,35 @@ def test_out_of_domain_argument_is_invalid(call):
     assert str(info.value)
 
 
+# a seeded count above sys.maxsize, the largest size numpy and itertools
+# index, is in the domain but refused as a size, before any work
+HUGE = 10**30
+TOO_LARGE = {
+    "meeting n_max": lambda: meeting_experiment(HUGE, 10, CFG),
+    "meeting reps": lambda: meeting_experiment(5, HUGE, CFG),
+    "variance level": lambda: variance_experiment(HUGE, 10, CFG),
+    "variance reps": lambda: variance_experiment(4, HUGE, CFG),
+    "sample level": lambda: sample_experiment(HUGE, 10, CFG),
+    "sample reps": lambda: sample_experiment(4, HUGE, CFG),
+    "chebyshev reps": lambda: chebyshev_experiment(10, Fraction(1, 10), HUGE, CFG),
+    "pair drift level": lambda: pair_drift_experiment(HUGE, 20, CFG),
+    "pair drift reps": lambda: pair_drift_experiment(5, HUGE, CFG),
+    "birkhoff orbit budget": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 4,
+                                                         mode="orbit_mc", cfg=CFG, budget=HUGE),
+}
+
+
+@pytest.mark.parametrize("call", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_seeded_count_above_sys_maxsize_is_too_large(monkeypatch, call):
+    def no_work(*args):
+        raise AssertionError("walked or computed a reference for a refused size")
+
+    for name in ("_walk", "tail_reference", "orbit_codes", "sample_path"):
+        monkeypatch.setattr(montecarlo, name, no_work)
+    with pytest.raises(TooLarge):
+        call()
+
+
 def test_numpy_integers_are_integers():
     # an integer array's elements name a copy, an out-edge index or a rank
     assert FinitePath(((Turn.RIGHT, np.int64(0)),)) == FinitePath.from_text("R0")
@@ -215,6 +249,19 @@ SWEEP_SLOTS = {
     "generator": CFG.generator,
     "split": CFG.split,
     "StackLayout": StackLayout,
+    # the seeded counts, at tiny sizes
+    "sample level": lambda x: sample_experiment(x, 20, CFG),
+    "sample reps": lambda x: sample_experiment(3, x, CFG),
+    "variance level": lambda x: variance_experiment(x, 20, CFG),
+    "variance reps": lambda x: variance_experiment(3, x, CFG),
+    "chebyshev level": lambda x: chebyshev_experiment(x, Fraction(1, 2), 20, CFG),
+    "chebyshev reps": lambda x: chebyshev_experiment(10, Fraction(1, 10), x, CFG),
+    "meeting n_max": lambda x: meeting_experiment(x, 20, CFG),
+    "meeting reps": lambda x: meeting_experiment(10, x, CFG),
+    "pair drift level": lambda x: pair_drift_experiment(x, 20, CFG),
+    "pair drift reps": lambda x: pair_drift_experiment(3, x, CFG),
+    "birkhoff orbit budget": lambda x: birkhoff_experiment(FinitePath.from_text("L0"), 4,
+                                                           mode="orbit_mc", cfg=CFG, budget=x),
 }
 
 

@@ -118,8 +118,6 @@ KEPT_EXPORTS = {
                    "ends each successor chain on it",
     "vershik_compare": "the Vershik order itself; acceptance criterion 3 sorts "
                        "each fiber by it",
-    "cylinder_measure": "the symmetric measure of one cylinder, the product "
-                        "of its edge weights",
     "transition_probs": "the column chain's exact kernel at one vertex",
     "load_expectations": "the packaged thresholds of the acceptance gate; "
                          "criterion 8 reads its meeting spec",
@@ -211,12 +209,13 @@ def test_no_bare_value_error_is_raised(path):
 def test_the_command_line_owns_no_argument_domain():
     # every domain and verdict lives in the library: the command line
     # parses, prints and maps verdicts to exit codes, so it raises no
-    # InvalidArgument and judges no threshold
+    # InvalidArgument and calls no errors reader (require_*), a threshold's
+    # or a count's
     source = (PACKAGE / "cli.py").read_text()
     assert "InvalidArgument" not in _raised_names(source)
     called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
               for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)}
-    assert "require_threshold" not in called
+    assert sorted(name for name in called if name and name.startswith("require_")) == []
 
 
 INTEGER_READERS = {"require_integer", "require_at_least"}

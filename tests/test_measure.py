@@ -471,6 +471,13 @@ def test_moment_closed_forms():
             assert row.increment_sq == Fraction(3 * n * n + 5 * n + 2, 3)
 
 
+def test_surplus_variance_is_the_power_sum_variance():
+    # the variance reference and the Chebyshev numerator of montecarlo,
+    # held to the moment table's power-sum route
+    rows = exact_moments(100)
+    assert [measure.surplus_variance(n) for n in range(101)] == [r.surplus_var for r in rows]
+
+
 def test_increments_telescope():
     rows = exact_moments(40)
     running = Fraction(0)

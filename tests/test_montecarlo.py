@@ -28,9 +28,11 @@ from euleradic import (
     RngConfig,
     TooLarge,
     Vertex,
+    WeightSystem,
     birkhoff_experiment,
     chebyshev_experiment,
     column_distribution,
+    cylinder_measure,
     eulerian,
     load_expectations,
     meeting_experiment,
@@ -632,6 +634,18 @@ def test_birkhoff_orbit_mode():
                                cfg=RngConfig(3), budget=0, tolerance=0.83)
     assert near.tolerance == "absolute deviation <= 0.83"
     assert near.passed
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_birkhoff_reference_is_the_cylinder_measure(length):
+    # both modes judge against the symmetric measure's own weight of the
+    # cylinder, 1/(length+1)!
+    cyl = sample_path(length, RngConfig(length).generator(0))
+    ref = cylinder_measure(WeightSystem.symmetric(), cyl)
+    assert ref == Fraction(1, factorial(length + 1))
+    for mode in ("exact_stack", "orbit_mc"):
+        report = birkhoff_experiment(cyl, 8, mode=mode, cfg=RngConfig(1), budget=50)
+        assert report.exact["reference"] == ref
 
 
 def test_birkhoff_verdicts_turn_at_the_stored_deviation():
