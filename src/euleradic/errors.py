@@ -1,9 +1,9 @@
 """Exception types shared across the package, the check that turns a
 count that is not an integer or lies below its least value into an
-InvalidArgument, the check that an index is an integer, the check that
-refuses a count above its cap with a TooLarge, the range check of a
-pass/fail threshold, and the one reader of a number from outside
-(require_real).
+InvalidArgument, the check that refuses a size above the size limit and
+the one that refuses a count above its cap, each with a TooLarge, the
+check that an index is an integer, the range check of a pass/fail
+threshold, and the one reader of a number from outside (require_real).
 
 Every named failure mode raised by the library derives from EulerAdicError,
 so callers can catch package errors without catching programming mistakes.
@@ -20,8 +20,8 @@ The policy has two kinds:
   raises it.
   MaximalPath, MinimalPath and OrbitOverflow are its named kinds for the
   paths the adic map is undefined on and a rank outside its fiber.
-- TooLarge for a size refused by a cap: the argument is in the domain,
-  but the work is not done.
+- TooLarge for a size refused by the size limit or by a cap: the
+  argument is in the domain, but the work is not done.
 
 The command line exits 2 on the first and 1 on the second.
 
@@ -35,6 +35,20 @@ refuses a float or a Fraction even when whole, and NaN.  Every caller
 keeps the int returned, so a numpy integer never reaches the big-integer
 arithmetic, where int64 would wrap or overflow.
 
+A count that sizes work is a size, and require_size reads it: a stage,
+a level, a number of levels, a pushforward depth, a path length (read
+off a Vertex too), a replica count, an n_max, a sample count and an
+orbit budget.  It reads the count as require_at_least does, then refuses one
+above SIZE_LIMIT, sys.maxsize // 32 = 288230376151711743, with a
+TooLarge before any work: that is the largest count whose widest
+per-item buffers numpy can index, since a path pair walks in two float64
+buffers per path, 32 bytes.  The command line prints the refusal as one
+line, "error: n_max has 31 digits, above the size limit
+288230376151711743", and exits 1.  A count that sizes no work (a seed, a
+cap, min_meetings, a replica index, a total to split) and the O(1) or
+closed-form calls (surplus_variance, pair_drift, transition_probs,
+eulerian, path_count_between) keep the count rule alone.
+
 A weight, a point of [0, 1) and an epsilon become exact through one rule,
 require_real: a Fraction comes back as is, any other finite real number
 is read exactly, and text, None, a complex number, NaN or an infinity
@@ -44,12 +58,15 @@ A pass/fail threshold is a finite real number by the same rule, and
 require_threshold then checks its range; its caller keeps the value given.
 """
 
+import sys
 from fractions import Fraction
 from math import inf, isfinite
 from numbers import Integral, Rational, Real
 from operator import index
 
 from .rationals import digit_count, int_text
+
+SIZE_LIMIT = sys.maxsize // 32  # numpy indexes this many items of 32 bytes
 
 
 class EulerAdicError(Exception):
@@ -69,6 +86,18 @@ def require_at_least(name: str, value, least: int = 0) -> int:
         value = require_integer(name, value)
     if value < least:
         raise InvalidArgument(f"{name} {value} must be at least {least}")
+    return value
+
+
+def require_size(name: str, value, least: int = 0) -> int:
+    """The count value as require_at_least reads it; TooLarge above
+    SIZE_LIMIT, the largest count of work a call takes.  An int in range
+    is tested inline, so a size costs one call."""
+    if type(value) is not int or not least <= value <= SIZE_LIMIT:
+        value = require_at_least(name, value, least)
+        if value > SIZE_LIMIT:
+            raise TooLarge(f"{name} has {digit_count(value)} digits, "
+                           f"above the size limit {SIZE_LIMIT}")
     return value
 
 

@@ -52,7 +52,7 @@ from enum import Enum
 from math import comb
 from typing import Callable
 
-from .errors import InvalidArgument, require_at_least, require_integer
+from .errors import InvalidArgument, require_integer, require_size
 
 
 class Turn(Enum):
@@ -211,7 +211,7 @@ def eulerian_lookup(n: int) -> Callable[[int, int], int]:
 def eulerian_row(n: int) -> tuple[int, ...]:
     """The full row A(n, 0..n) from the memo: columns 0..n//2 are read, and
     the mirrored half shares their ints."""
-    n = require_at_least("triangle row level", n)
+    n = require_size("triangle row level", n)
     a = _TRIANGLE.lookup(n)
     half = [a(n, k) for k in range(n // 2 + 1)]
     return (*half, *reversed(half[: (n + 1) // 2]))

@@ -45,7 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, TooLarge, require_at_least, require_integer, require_real
+from .errors import (InvalidArgument, TooLarge, require_at_least, require_integer, require_real,
+                     require_size)
 from .graph import EdgeRef, Turn, Vertex, bundle_sizes, eulerian_row
 from .paths import (
     FinitePath,
@@ -144,7 +145,7 @@ def check_invariance_conditions(ws: WeightSystem, n_max: int) -> InvarianceRepor
     weighed, so the scan is cubic in n_max; weights are compared as
     integers, by numerator and denominator or by cross products.
     """
-    n_max = require_at_least("invariance levels", n_max)
+    n_max = require_size("invariance levels", n_max)
     weight = ws.weight
     parallel = 0
     diamonds = 0
@@ -209,7 +210,7 @@ def pushforward_check(n: int, ws: Optional[WeightSystem] = None) -> PushforwardR
     (paths.fiber_codes), which starts minimal, so the extremal scans only
     count the boundary; each distinct edge is weighed once, as integers.
     """
-    n = require_at_least("pushforward length", n)
+    n = require_size("pushforward length", n)
     if ws is None:
         ws = WeightSystem.symmetric()
     weights: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -252,8 +253,8 @@ def invariance_run(levels: int, depth: int) -> InvarianceRun:
     """check_invariance_conditions of the symmetric system below levels and
     pushforward_check at each length 0..depth.  Levels below 1 would pass
     on no checks at all, so they are an InvalidArgument."""
-    levels = require_at_least("invariance levels", levels, least=1)
-    depth = require_at_least("pushforward depth", depth)
+    levels = require_size("invariance levels", levels, least=1)
+    depth = require_size("pushforward depth", depth)
     return InvarianceRun(check_invariance_conditions(WeightSystem.symmetric(), levels),
                          tuple(pushforward_check(n) for n in range(depth + 1)))
 
@@ -304,7 +305,7 @@ class ColumnDistribution:
 
 def column_distribution(n: int) -> ColumnDistribution:
     """Combinatorial route: P(k_n = k) = A(n, k) / (n+1)!."""
-    n = require_at_least("level", n)
+    n = require_size("level", n)
     fact = factorial(n + 1)
     row = eulerian_row(n)
     return ColumnDistribution(n, tuple(Fraction(a, fact) for a in row))
@@ -319,7 +320,7 @@ def column_distribution_dp(n: int) -> ColumnDistribution:
     no symmetry used and no triangle memo read, so the two routes
     cross-check each other.
     """
-    n = require_at_least("level", n)
+    n = require_size("level", n)
     num = _kernel_push(np.ones(1, dtype=object), n)
     fact = factorial(n + 1)
     return ColumnDistribution(n, tuple(Fraction(a, fact) for a in num))
@@ -360,7 +361,7 @@ def exact_moments(n_max: int) -> list[MomentRow]:
     squared-increment column comes from the joint law of (k_{n-1}, k_n)
     under the kernel, not from any closed form.
     """
-    n_max = require_at_least("levels", n_max)
+    n_max = require_size("levels", n_max)
     rows = []
     inc_total = None  # the increment sum for level n, over (n+1)!
     p0, p1, p2 = 1, 0, 0  # row 0 is A(0, 0) = 1
@@ -417,7 +418,7 @@ def drift_table(levels: int) -> tuple[list[tuple[int, int, int, Fraction]], int]
     columns k, k2 in 0..n, in that order, and the sign check: the count of
     pairs k != k2 whose drift is positive, which is 0, since the gap of two
     independent chains never grows in expectation."""
-    levels = require_at_least("levels", levels)
+    levels = require_size("levels", levels)
     rows = [(n, k, k2, pair_drift(n, k, k2))
             for n in range(levels + 1) for k in range(n + 1) for k2 in range(n + 1)]
     return rows, sum(k != k2 and d > 0 for _, k, k2, d in rows)

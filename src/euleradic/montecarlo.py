@@ -28,9 +28,10 @@ sample-long arrays.
 
 Every exact reference comes from measure: the column law, the surplus
 variance, the tail, the pair drift and the cylinder measure.  A walk
-level, an n_max, a sample count or an orbit budget above sys.maxsize, the
-largest size numpy and itertools index, is refused with a TooLarge right
-after it is read, before any reference, allocation or draw.
+level, an n_max, a sample count, an orbit budget, a path length and a
+replica count are sizes, each read by errors.require_size: one above
+errors.SIZE_LIMIT (288230376151711743) is a TooLarge as it is read,
+before any reference, allocation or draw.
 
 Every report carries its verdict as passed, read from the numbers it
 stores: StatReport stores it, and MeetingStats reads its fraction against
@@ -41,7 +42,6 @@ threshold that decides every run before any walk.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -51,8 +51,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import (InvalidArgument, require_at_least, require_integer, require_threshold,
-                     require_within_cap)
+from .errors import (InvalidArgument, require_at_least, require_integer, require_size,
+                     require_threshold)
 from .graph import Vertex, eulerian, path_count_between
 from .measure import (
     WeightSystem,
@@ -89,7 +89,7 @@ class RngConfig:
         # numpy's SeedSequence rejects a negative seed, but only once a
         # generator is drawn
         object.__setattr__(self, "master_seed", require_at_least("seed", self.master_seed))
-        object.__setattr__(self, "replicas", require_at_least("replica count", self.replicas, 1))
+        object.__setattr__(self, "replicas", require_size("replica count", self.replicas, 1))
 
     def generator(self, replica: int) -> np.random.Generator:
         replica = require_at_least("replica", replica)
@@ -176,7 +176,7 @@ def sample_path(n: int, rng: np.random.Generator) -> FinitePath:
     Every edge out of level m has probability 1/(m+2), so the out-edge
     index is uniform; this implies the column kernel P(stay) = (k+1)/(m+2).
     """
-    n = require_at_least("path length", n)
+    n = require_size("path length", n)
     indices = [int(rng.integers(0, m + 2)) for m in range(n)]
     return path_from_out_indices(indices)
 
@@ -219,14 +219,6 @@ def _replicas(cfg: RngConfig, reps: int, run: Callable) -> tuple[np.ndarray, ...
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _check_sizes(level: int, reps: int) -> None:
-    """TooLarge for a walk level or a sample count above sys.maxsize, the
-    largest size numpy and itertools index; an experiment calls it right
-    after reading both, before any reference, allocation or draw."""
-    require_within_cap("the walk", "levels", level, sys.maxsize)
-    require_within_cap("the experiment", "samples", reps, sys.maxsize)
-
-
 def _column_counts(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
     """How many of reps independent paths end in each column 0..level:
     a bincount per replica, summed in replica order; its callers read
@@ -244,9 +236,8 @@ def _column_counts(level: int, reps: int, cfg: RngConfig) -> np.ndarray:
 
 def sample_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     """Empirical column frequencies at one level against the exact law."""
-    level = require_at_least("level", level)
-    reps = require_at_least("sample count", reps, least=1)
-    _check_sizes(level, reps)
+    level = require_size("level", level)
+    reps = require_size("sample count", reps, least=1)
     counts = _column_counts(level, reps, cfg)
     dist = column_distribution(level)
     emp = counts / reps
@@ -273,9 +264,8 @@ def variance_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     sample variance divides by reps - 1, so reps below 2 is an
     InvalidArgument: one sample would report a variance and standard
     errors of 0."""
-    level = require_at_least("level", level)
-    reps = require_at_least("sample count", reps, least=2)
-    _check_sizes(level, reps)
+    level = require_size("level", level)
+    reps = require_size("sample count", reps, least=2)
 
     def run(rng, m):
         *_, c = _walk(level, m, rng)
@@ -321,13 +311,12 @@ def chebyshev_experiment(level: int, epsilon, reps: int, cfg: RngConfig) -> Stat
     standard errors plus the enclosure width.
     """
     eps = epsilon_fraction(epsilon)
-    level = require_at_least("level", level, least=1)
+    level = require_size("level", level, least=1)
     if eps <= 0:
         raise InvalidArgument(f"epsilon {eps} must be positive")
     if eps > 1:
         raise InvalidArgument(f"epsilon {eps} must be at most 1")
-    reps = require_at_least("sample count", reps, least=1)
-    require_within_cap("the experiment", "samples", reps, sys.maxsize)
+    reps = require_size("sample count", reps, least=1)
     lo, hi, exact_kind = tail_reference(level, eps)
     counts = _column_counts(level, reps, cfg)
     emp = int(counts[tail_columns(level, eps)].sum()) / reps
@@ -373,15 +362,14 @@ def meeting_experiment(
     """
     if min_fraction is not None:
         require_threshold("min fraction", min_fraction, 1)
-    n_max = require_at_least("n_max", n_max)
+    n_max = require_size("n_max", n_max)
     min_meetings = require_integer("min_meetings", min_meetings)
     if min_fraction is not None and (min_fraction == 0 or not 0 < min_meetings < n_max):
         raise InvalidArgument(f"min fraction {min_fraction} with min meetings "
                               f"{min_meetings} decides every run: a pair meets "
                               f"0 to {max(n_max - 1, 0)} times")
     min_meetings = require_at_least("min_meetings", min_meetings)
-    reps = require_at_least("sample count", reps, least=1)
-    _check_sizes(n_max, reps)
+    reps = require_size("sample count", reps, least=1)
 
     def run(rng, m):
         eq = np.empty(m, dtype=bool)
@@ -447,9 +435,8 @@ def pair_drift_experiment(level: int, reps: int, cfg: RngConfig) -> StatReport:
     their gap (for gap > 0), so the exact reference of gap group d is
     pair_drift at columns (d, 0).
     """
-    level = require_at_least("level", level)
-    reps = require_at_least("sample count", reps, least=1)
-    _check_sizes(level, reps)
+    level = require_size("level", level)
+    reps = require_size("sample count", reps, least=1)
     # the least integer type holding level holds every gap; a gap changes
     # by -1, 0 or 1 in a step
     gap_type = np.min_scalar_type(level)
@@ -528,12 +515,11 @@ def birkhoff_experiment(
         raise InvalidArgument(f"unknown mode {mode!r}")
     if mode == "orbit_mc" and column is not None:
         raise InvalidArgument("orbit_mc takes no column; its walk stays in one fiber")
-    big_level = require_at_least("level", big_level)
+    big_level = require_size("level", big_level)
     target = Vertex(big_level, big_level // 2 if column is None else column)
     if not 0 < len(cylinder) <= big_level:  # the empty one has frequency 1 in every run
         raise InvalidArgument(f"cylinder length {len(cylinder)} outside 1..{big_level}")
-    budget = require_at_least("budget", budget)
-    require_within_cap("the orbit walk", "steps", budget, sys.maxsize)
+    budget = require_size("budget", budget)
     ref = cylinder_measure(WeightSystem.symmetric(), cylinder)
     if tolerance is not None:
         require_threshold("tolerance", tolerance)

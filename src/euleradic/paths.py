@@ -44,7 +44,7 @@ from operator import sub
 from typing import Iterator
 
 from .errors import (InvalidArgument, MaximalPath, MinimalPath, OrbitOverflow, require_at_least,
-                     require_integer, require_within_cap)
+                     require_integer, require_size, require_within_cap)
 from .graph import EdgeRef, Turn, Vertex, eulerian, eulerian_lookup
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -242,12 +242,14 @@ def is_minimal(p: FinitePath) -> bool:
 
 def min_path_to(v: Vertex) -> FinitePath:
     """The unique minimal path into v (see min_code)."""
-    return FinitePath._trusted(min_code(v.level, v.column))
+    n = require_size("path length", v.level)
+    return FinitePath._trusted(min_code(n, v.column))
 
 
 def max_path_to(v: Vertex) -> FinitePath:
     """The unique maximal path into v, the mirror of min_path_to((n, n-k))."""
-    return FinitePath._trusted(mirror_code(min_code(v.level, v.level - v.column)))
+    n = require_size("path length", v.level)
+    return FinitePath._trusted(mirror_code(min_code(n, n - v.column)))
 
 
 # --- order ------------------------------------------------------------------
@@ -314,12 +316,14 @@ def orbit_codes(digits: tuple) -> Iterator[tuple]:
 
 
 def fiber_codes(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple]:
-    """Codes of all paths into v in Vershik order.  The size check runs at
-    the call, so TooLarge comes before any code is walked: the fiber is
-    counted by eulerian, a closed form that builds no triangle rows.  A
-    negative cap is InvalidArgument."""
-    require_within_cap(f"fiber of {v}", "paths", eulerian(v.level, v.column), cap)
-    return orbit_codes(min_code(v.level, v.column))
+    """Codes of all paths into v in Vershik order.  The size checks run at
+    the call, so TooLarge comes before any code is walked: the path
+    length v.level is read first (errors.require_size), then the fiber
+    is counted by eulerian, a closed form that builds no triangle rows.
+    A negative cap is InvalidArgument."""
+    n = require_size("path length", v.level)
+    require_within_cap(f"fiber of {v}", "paths", eulerian(n, v.column), cap)
+    return orbit_codes(min_code(n, v.column))
 
 
 def enumerate_paths_to(v: Vertex, cap: int = DEFAULT_ENUMERATION_CAP) -> list[FinitePath]:
@@ -383,12 +387,13 @@ def path_with_rank(v: Vertex, rank: int) -> FinitePath:
     a rank that is not an integer is an InvalidArgument, one outside the
     fiber an OrbitOverflow."""
     rank = require_integer("rank", rank)
-    a = eulerian_lookup(v.level)
-    total = a(v.level, v.column)
+    n = require_size("path length", v.level)
+    a = eulerian_lookup(n)
+    total = a(n, v.column)
     if not 0 <= rank < total:
         raise OrbitOverflow(rank, total)
     digits: list[int] = []
-    m, c, t = v.level, v.column, rank
+    m, c, t = n, v.column, rank
     while m > 0:
         # a rank below A(m, c) puts the diagonal c = m in the right block,
         # so the left block reads only columns c <= m-1

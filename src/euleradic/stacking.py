@@ -24,7 +24,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
-from .errors import InvalidArgument, require_at_least, require_real, require_within_cap
+from .errors import InvalidArgument, require_real, require_size, require_within_cap
 from .paths import DEFAULT_ENUMERATION_CAP, FinitePath, successor_code
 
 
@@ -39,7 +39,7 @@ def code_index(digits) -> int:
 
 def code_at(u: Fraction, n: int) -> tuple[int, tuple]:
     """(interval index, digits) of the stage-n interval holding u."""
-    n = require_at_least("stage", n)
+    n = require_size("stage", n)
     num, den = u.numerator, u.denominator
     if not 0 <= num < den:
         raise InvalidArgument(f"point {u} outside [0,1)")
@@ -76,7 +76,7 @@ class StackLayout:
     stage: int
 
     def __post_init__(self):
-        object.__setattr__(self, "stage", require_at_least("stage", self.stage))
+        object.__setattr__(self, "stage", require_size("stage", self.stage))
 
     @property
     def interval_width(self) -> Fraction:

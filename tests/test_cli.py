@@ -7,6 +7,7 @@ for the seeded ones, and --out writing the same bytes as stdout would.
 
 import hashlib
 import json
+import os
 import shlex
 import sys
 from dataclasses import dataclass, field
@@ -67,26 +68,24 @@ def test_refusal_past_int_str_limit_is_one_short_line(capsys, argv, line):
 
 
 BIG = "1" + "0" * 30
-WALK_LINE = "error: the walk has a 31-digit number of levels, cap is 9223372036854775807\n"
-SAMPLES_LINE = ("error: the experiment has a 31-digit number of samples, "
-                "cap is 9223372036854775807\n")
+SIZE_LINE = "error: {} has 31 digits, above the size limit 288230376151711743\n"
 
 
 SIZE_REFUSALS = {
-    f"meeting --nmax {BIG} --reps 10 --seed 1": WALK_LINE,
-    f"meeting --nmax 5 --reps {BIG} --seed 1": SAMPLES_LINE,
-    f"variance --level 4 --reps {BIG} --seed 1": SAMPLES_LINE,
-    f"variance --level {BIG} --reps 10 --seed 1": WALK_LINE,
-    f"sample --level {BIG} --reps 10 --seed 1": WALK_LINE,
-    f"chebyshev --level 10 --eps 1/10 --reps {BIG} --seed 1": SAMPLES_LINE,
+    f"meeting --nmax {BIG} --reps 10 --seed 1": SIZE_LINE.format("n_max"),
+    f"meeting --nmax 5 --reps {BIG} --seed 1": SIZE_LINE.format("sample count"),
+    f"variance --level 4 --reps {BIG} --seed 1": SIZE_LINE.format("sample count"),
+    f"variance --level {BIG} --reps 10 --seed 1": SIZE_LINE.format("level"),
+    f"sample --level {BIG} --reps 10 --seed 1": SIZE_LINE.format("level"),
+    f"chebyshev --level 10 --eps 1/10 --reps {BIG} --seed 1": SIZE_LINE.format("sample count"),
     f"birkhoff --cylinder L0 --level 4 --mode orbit_mc --budget {BIG}":
-        "error: the orbit walk has a 31-digit number of steps, cap is 9223372036854775807\n",
+        SIZE_LINE.format("budget"),
 }
 
 
 @pytest.mark.parametrize("argv, line", SIZE_REFUSALS.items(), ids=SIZE_REFUSALS.keys())
 def test_a_seeded_count_above_sys_maxsize_is_one_error_line(capsys, argv, line):
-    # numpy and itertools index no size above sys.maxsize: refused, exit 1
+    # a size above errors.SIZE_LIMIT is refused before any work, exit 1
     code, out, err = _run(capsys, *argv.split())
     assert (code, out, err) == (1, "", line)
 
@@ -398,6 +397,13 @@ def test_unwritable_out_is_an_operation_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_is_an_operation_error(capsys):
+    # the path passes the check before the run; the write itself fails
+    code, out, err = _run(capsys, "eulerian", "--n", "2", "--out", "/dev/full")
+    assert (code, out, err) == (1, "", "error: cannot write /dev/full: No space left on device\n")
 
 
 def _must_not_run(*args, **kwargs):

@@ -4,8 +4,9 @@ Every argument outside the domain of its call raises InvalidArgument (a
 ValueError), raised by the type or function that owns the domain: the
 vertex owns the column, the edge its turn and copy, the path its levels,
 the weight system its weights.  MaximalPath, MinimalPath and OrbitOverflow
-are named kinds of it; TooLarge, a size refused by a cap, is not: a
-seeded count above sys.maxsize is one (TOO_LARGE).
+are named kinds of it; TooLarge, a size refused by the size limit or by
+a cap, is not: a count that sizes work above errors.SIZE_LIMIT is one
+(TOO_LARGE), and the closed forms answer at any level (SIZE_FREE).
 """
 
 from fractions import Fraction
@@ -32,6 +33,7 @@ from euleradic import (
     WeightSystem,
     birkhoff_experiment,
     build_stage,
+    check_invariance_conditions,
     chebyshev_experiment,
     column_distribution,
     column_distribution_dp,
@@ -54,7 +56,9 @@ from euleradic import (
     path_from_out_indices,
     path_with_rank,
     predecessor,
+    pushforward_check,
     sample_experiment,
+    sample_path,
     stage_map,
     step_for_out_index,
     successor,
@@ -62,7 +66,8 @@ from euleradic import (
     variance_experiment,
     vershik_compare,
 )
-from euleradic import montecarlo
+from euleradic import graph, montecarlo
+from euleradic.graph import EulerianTriangle
 from euleradic.measure import surplus_variance
 
 ROOT_EDGE = EdgeRef(Vertex(0, 0), Turn.LEFT, 0)
@@ -200,9 +205,12 @@ def test_out_of_domain_argument_is_invalid(call):
     assert str(info.value)
 
 
-# a seeded count above sys.maxsize, the largest size numpy and itertools
-# index, is in the domain but refused as a size, before any work
+# a count that sizes work above errors.SIZE_LIMIT is in the domain but
+# refused as a size, before any work: a seeded one before any walk,
+# reference, orbit or draw, and every one before any triangle row
 HUGE = 10**30
+BEYOND = 2**60  # below sys.maxsize, but numpy makes no array of 2^60 samples
+HUGE_VERTICES = {"(10^30, 0)": Vertex(HUGE, 0), "(10^30, 1)": Vertex(HUGE, 1)}
 TOO_LARGE = {
     "meeting n_max": lambda: meeting_experiment(HUGE, 10, CFG),
     "meeting reps": lambda: meeting_experiment(5, HUGE, CFG),
@@ -215,6 +223,35 @@ TOO_LARGE = {
     "pair drift reps": lambda: pair_drift_experiment(5, HUGE, CFG),
     "birkhoff orbit budget": lambda: birkhoff_experiment(FinitePath.from_text("L0"), 4,
                                                          mode="orbit_mc", cfg=CFG, budget=HUGE),
+    "meeting n_max 2^60": lambda: meeting_experiment(BEYOND, 10, CFG),
+    "meeting reps 2^60": lambda: meeting_experiment(5, BEYOND, CFG),
+    "variance reps 2^60": lambda: variance_experiment(4, BEYOND, CFG),
+    "sample reps 2^60": lambda: sample_experiment(4, BEYOND, CFG),
+    "chebyshev reps 2^60": lambda: chebyshev_experiment(10, Fraction(1, 10), BEYOND, CFG),
+    "pair drift reps 2^60": lambda: pair_drift_experiment(5, BEYOND, CFG),
+    "sample_path length": lambda: sample_path(HUGE, CFG.generator(0)),
+    "replica count": lambda: RngConfig(1, HUGE),
+    "birkhoff exact_stack level": lambda: birkhoff_experiment(FinitePath.from_text("L0"), HUGE),
+    # the exact layer
+    "stack layout stage": lambda: StackLayout(HUGE),
+    "build_stage stage": lambda: build_stage(HUGE),
+    "encode_point stage": lambda: encode_point(Fraction(1, 2), HUGE),
+    "eulerian_row level": lambda: eulerian_row(HUGE),
+    "column_distribution level": lambda: column_distribution(HUGE),
+    "column_distribution_dp level": lambda: column_distribution_dp(HUGE),
+    "exact_moments levels": lambda: exact_moments(HUGE),
+    "drift_table levels": lambda: drift_table(HUGE),
+    "check_invariance_conditions levels":
+        lambda: check_invariance_conditions(WeightSystem.symmetric(), HUGE),
+    "pushforward_check length": lambda: pushforward_check(HUGE),
+    "invariance_run levels": lambda: invariance_run(HUGE, 1),
+    "invariance_run depth": lambda: invariance_run(2, HUGE),
+    # a path length read off a vertex
+    **{f"{call.__name__} {label}": partial(call, v)
+       for label, v in HUGE_VERTICES.items()
+       for call in (min_path_to, max_path_to, enumerate_paths_to)},
+    **{f"path_with_rank {label}": partial(path_with_rank, v, 0)
+       for label, v in HUGE_VERTICES.items()},
 }
 
 
@@ -225,8 +262,28 @@ def test_seeded_count_above_sys_maxsize_is_too_large(monkeypatch, call):
 
     for name in ("_walk", "tail_reference", "orbit_codes", "sample_path"):
         monkeypatch.setattr(montecarlo, name, no_work)
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle())
     with pytest.raises(TooLarge):
         call()
+    assert graph._TRIANGLE.levels_computed == 0
+
+
+# the O(1) and closed-form calls size no work by their level, so they
+# answer at 10^30, far past the size limit, and read no triangle row
+SIZE_FREE = {
+    "eulerian": (lambda: eulerian(HUGE, 0), 1),
+    "pair_drift": (lambda: pair_drift(HUGE, 1, 2), Fraction(-1, HUGE + 2)),
+    "transition_probs": (lambda: transition_probs(HUGE, 1),
+                         (Fraction(2, HUGE + 2), Fraction(HUGE, HUGE + 2))),
+    "surplus_variance": (lambda: surplus_variance(HUGE), Fraction(HUGE + 2, 3)),
+}
+
+
+@pytest.mark.parametrize("call, value", SIZE_FREE.values(), ids=SIZE_FREE.keys())
+def test_a_closed_form_answers_at_a_huge_level(monkeypatch, call, value):
+    monkeypatch.setattr(graph, "_TRIANGLE", EulerianTriangle())
+    assert call() == value
+    assert graph._TRIANGLE.levels_computed == 0
 
 
 def test_numpy_integers_are_integers():

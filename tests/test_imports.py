@@ -183,6 +183,12 @@ def test_only_errors_states_the_finite_real_rule():
     assert _readers({"Real"}) == {"errors"}
 
 
+def test_only_errors_states_the_size_limit():
+    # errors.require_size refuses every size above one limit, read off
+    # sys.maxsize; a second reader of maxsize would be a second limit
+    assert _readers({"maxsize"}) == {"errors"}
+
+
 def test_only_paths_reads_eulerian_lookup():
     # one Eulerian number is graph.eulerian, the closed form; the memo's
     # unchecked reader serves the rank descents of paths alone
@@ -218,7 +224,7 @@ def test_the_command_line_owns_no_argument_domain():
     assert sorted(name for name in called if name and name.startswith("require_")) == []
 
 
-INTEGER_READERS = {"require_integer", "require_at_least"}
+INTEGER_READERS = {"require_integer", "require_at_least", "require_size"}
 
 
 def test_no_integer_reader_drops_its_value():

@@ -111,6 +111,12 @@ def test_column_sequence():
         assert all(b - a in (0, 1) for a, b in zip(cols, cols[1:]))
 
 
+def test_a_path_equals_no_other_type():
+    # __eq__ leaves a comparison with another type to Python's default
+    assert FinitePath.from_text("L0") != "L0"
+    assert FinitePath.from_text("L0") == path_from_out_indices([0])
+
+
 def test_edge_index_outside_the_path_is_named():
     path = FinitePath.from_text("R0.L1.R1")
     assert path.edge_at(2).source == Vertex(2, 1)
